@@ -15,6 +15,9 @@ Backends and oracles:
   *full* trace signature (``--oracle semantics``);
 * **replay** — the VM run twice: §2.8 demands bit-identical traces,
   memory, and output;
+* **bookkeeping** — after every driver call the VM's O(1) awaiting
+  count must equal a full recount of its gates (a mismatch is a VM
+  crash);
 * **analyses** — parse/bind/§2.5 must accept every generated program,
   the §2.6 temporal analysis classifies it, and an accepted program must
   never crash the runtime.
@@ -74,8 +77,21 @@ class RunResult:
         return (self.done, result, self.output, self.psig)
 
 
+def _check_awaiting(program: Program, op: tuple) -> None:
+    """The scheduler's O(1) awaiting count must equal the full recount
+    of its gates; a mismatch is a bookkeeping bug, reported as a VM
+    crash."""
+    sched = program.sched
+    kept, recount = sched.awaiting_count(), sched.recount_awaiting()
+    if kept != recount:
+        raise AssertionError(
+            f"awaiting count {kept} != recount {recount} after {op!r} "
+            f"(reaction {sched.reaction_count})")
+
+
 def drive_vm(program: Program, script: Script) -> None:
     program.start()
+    _check_awaiting(program, ("boot",))
     for item in script:
         if program.done:
             break
@@ -83,6 +99,7 @@ def drive_vm(program: Program, script: Script) -> None:
             program.send(item[1], item[2])
         else:
             program.at(item[1])
+        _check_awaiting(program, item)
 
 
 def run_vm(src: str, script: Script, trace: bool = True,

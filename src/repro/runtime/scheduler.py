@@ -44,6 +44,10 @@ from .trails import BreakSignal, EscapeJoin, Join, ReturnSignal, Trail
 RUNNING = "running"
 TERMINATED = "terminated"
 
+#: suspensions that count as *awaiting* for the termination check (§3.1);
+#: a trail halted on "par"/"async" is held by its join or job instead
+AWAITING = frozenset(("ext", "int", "time", "forever"))
+
 
 class Scheduler:
     """Executes one Céu program."""
@@ -91,10 +95,15 @@ class Scheduler:
         #: inspectable exactly after ``pause_at`` completed reactions
         self.pause_at: Optional[int] = None
 
-        # awaiting registries ("gates", §4.3)
-        self.ext_waiting: dict[str, list[Trail]] = {}
-        self.int_waiting: dict[str, list[Trail]] = {}
-        self.forever: list[Trail] = []
+        # awaiting registries ("gates", §4.3): insertion-ordered dicts
+        # used as ordered sets, so a killed trail leaves its gate in O(1)
+        # (``Trail.gate``) and seeding still runs in registration order
+        self.ext_waiting: dict[str, dict[Trail, None]] = {}
+        self.int_waiting: dict[str, dict[Trail, None]] = {}
+        self.forever: dict[Trail, None] = {}
+        #: live trails whose ``waiting`` is in :data:`AWAITING`, kept up
+        #: to date on register, resume, kill and terminate
+        self._awaiting = 0
         #: heap of (deadline, arming_base, computed?, seq, trail) — the
         #: base/computed components partition coincident deadlines into
         #: per-epoch reactions (see :meth:`go_time`)
@@ -124,27 +133,8 @@ class Scheduler:
         self._live: set[Trail] = set()
         self.root: Optional[Trail] = None
 
-        self._depth = self._compute_depths()
-
-    # ------------------------------------------------------------ prepass
-    def _compute_depths(self) -> dict[int, int]:
-        depth: dict[int, int] = {}
-
-        def walk(node: ast.Node, d: int) -> None:
-            depth[node.nid] = d
-            nested = d + 1 if isinstance(
-                node, (ast.ParStmt, ast.Loop, ast.DoBlock,
-                       ast.AsyncBlock)) else d
-            for child in node.children():
-                walk(child, nested)
-
-        walk(self.bound.program, 0)
-        return depth
-
     def depth(self, node: Optional[ast.Node]) -> int:
-        if node is None:
-            return 0
-        return self._depth.get(node.nid, 0)
+        return 0 if node is None else self.bound.depth(node)
 
     # ------------------------------------------------------- observability
     def enable_metrics(self) -> MetricsRegistry:
@@ -233,8 +223,8 @@ class Scheduler:
         self._drive_depth += 1
 
         def seed() -> None:
-            waiting = self.ext_waiting.get(name, [])
-            self.ext_waiting[name] = []
+            waiting = self.ext_waiting.get(name, ())
+            self.ext_waiting[name] = {}
             if self.reverse_seeds:
                 waiting = list(reversed(waiting))
             for trail in waiting:
@@ -400,10 +390,17 @@ class Scheduler:
         return bool(self.input_queue or self.async_jobs) and not self.done
 
     def awaiting_count(self) -> int:
-        ext = sum(1 for lst in self.ext_waiting.values()
-                  for t in lst if t.alive)
-        internal = sum(1 for lst in self.int_waiting.values()
-                       for t in lst if t.alive)
+        """Trails awaiting an event, a timer or ``forever`` — O(1)."""
+        return self._awaiting
+
+    def recount_awaiting(self) -> int:
+        """:meth:`awaiting_count` by a full rescan of the gates and the
+        live set — the reference the fuzz oracles check the maintained
+        count against after every driver call."""
+        ext = sum(1 for gate in self.ext_waiting.values()
+                  for t in gate if t.alive)
+        internal = sum(1 for gate in self.int_waiting.values()
+                       for t in gate if t.alive)
         # count timer waiters from the live set, not the heap: go_time
         # pops every same-deadline entry before running the per-epoch
         # partitions, so between two coincident-deadline reactions a
@@ -524,6 +521,8 @@ class Scheduler:
     # --------------------------------------------------------- trail steps
     def _run_trail(self, trail: Trail, value: Any) -> None:
         """Run one trail until it halts (one atomic *track*, §4.4)."""
+        if trail.waiting in AWAITING:
+            self._awaiting -= 1
         trail.waiting = None
         trail.time_base = self._current_base
         hooks = self.hooks
@@ -567,10 +566,16 @@ class Scheduler:
     def _register(self, trail: Trail, req: tuple) -> None:
         kind = req[0]
         trail.waiting = kind
-        if kind == "ext":
-            self.ext_waiting.setdefault(req[1].name, []).append(trail)
-        elif kind == "int":
-            self.int_waiting.setdefault(req[1].name, []).append(trail)
+        trail.gate = None
+        if kind in AWAITING:
+            self._awaiting += 1
+        if kind == "ext" or kind == "int":
+            table = self.ext_waiting if kind == "ext" else self.int_waiting
+            gate = table.get(req[1].name)
+            if gate is None:
+                gate = table[req[1].name] = {}
+            gate[trail] = None
+            trail.gate = gate
         elif kind == "time":
             timeout = req[1]
             if timeout < 0:
@@ -586,7 +591,8 @@ class Scheduler:
                 trail.wake_cause = self.hooks.last_span
             # an already-late deadline is picked up by the next go_time
         elif kind == "forever":
-            self.forever.append(trail)
+            self.forever[trail] = None
+            trail.gate = self.forever
         elif kind in ("par", "async"):
             pass  # join/job structures hold the owner
         else:  # pragma: no cover - interpreter invariant
@@ -662,6 +668,10 @@ class Scheduler:
         for trail in victims:
             trail.alive = False
             self._live.discard(trail)
+            if trail.waiting in AWAITING:
+                self._awaiting -= 1
+            if trail.gate is not None:
+                del trail.gate[trail]
             trail.gen.close()
             if hooked:
                 self.hooks.trail_kill(trail.label, trail.path, self.clock)
@@ -701,9 +711,11 @@ class Scheduler:
             waiting = self.int_waiting.get(sym.name)
             if not waiting:
                 return  # no one awaiting: the occurrence is discarded
-            self.int_waiting[sym.name] = []
-            if self.reverse_seeds:
-                waiting = list(reversed(waiting))
+            self.int_waiting[sym.name] = {}
+            # a copy: a woken trail may kill a later one, which then
+            # leaves this gate while we walk it
+            waiting = list(reversed(waiting)) if self.reverse_seeds \
+                else list(waiting)
             for trail in waiting:
                 if trail.alive and trail.waiting == "int":
                     self._run_trail(trail, value)
@@ -777,6 +789,7 @@ class Scheduler:
             if hooked:
                 self.hooks.trail_kill(trail.label, trail.path, self.clock)
         self._live.clear()
+        self._awaiting = 0
         self.ext_waiting.clear()
         self.int_waiting.clear()
         self.forever.clear()

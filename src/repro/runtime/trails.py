@@ -51,8 +51,8 @@ class Trail:
     contiguous-gate ``memset`` destruction (§4.3)."""
 
     __slots__ = ("gen", "path", "parent_join", "branch_index", "alive",
-                 "started", "time_base", "waiting", "seq", "label",
-                 "wake_cause")
+                 "started", "time_base", "waiting", "gate", "seq",
+                 "label", "wake_cause")
 
     def __init__(self, gen, path: tuple, parent_join: Optional["Join"],
                  branch_index: int = 0, time_base: int = 0,
@@ -67,6 +67,9 @@ class Trail:
         #: current suspension kind, for traces: None while running,
         #: else "ext"/"int"/"time"/"forever"/"par"/"async"
         self.waiting: Optional[str] = None
+        #: the gate (scheduler ordered set) holding this trail while it
+        #: awaits an event or ``forever``, so a kill removes it in O(1)
+        self.gate: Optional[dict] = None
         self.seq = next(_trail_seq)
         self.label = label or f"t{self.seq}"
         #: causality (docs/OBSERVABILITY.md): span id of the occurrence

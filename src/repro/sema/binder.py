@@ -29,6 +29,9 @@ from ..lang import ast
 from ..lang.errors import AsyncError, BindError
 from .symbols import Annotations, EventSymbol, Scope, VarSymbol
 
+#: constructs that open a nesting level for :meth:`BoundProgram.depth`
+_NESTING = (ast.ParStmt, ast.Loop, ast.DoBlock, ast.AsyncBlock)
+
 
 @dataclass
 class BoundProgram:
@@ -49,6 +52,23 @@ class BoundProgram:
     value_boundaries: set[int] = field(default_factory=set)
     #: C function names referenced anywhere (for reporting / codegen)
     c_symbols: set[str] = field(default_factory=set)
+    #: nesting depths memoised by :meth:`depth` (nid -> depth); shared by
+    #: every scheduler that runs this program
+    depths: dict[int, int] = field(default_factory=dict, repr=False,
+                                   compare=False)
+
+    def depth(self, node: ast.Node) -> int:
+        """Syntactic nesting depth of ``node``: the number of ``par``,
+        ``loop``, ``do`` and ``async`` constructs strictly enclosing it —
+        the §4.1 rejoin priority.  Computed on demand up the ``parent``
+        chain, so a program pays only for the nodes the VM asks about."""
+        d = self.depths.get(node.nid)
+        if d is None:
+            parent = self.parent.get(node.nid)
+            d = 0 if parent is None else \
+                self.depth(parent) + isinstance(parent, _NESTING)
+            self.depths[node.nid] = d
+        return d
 
     def event(self, name: str) -> EventSymbol:
         return self.events[name]

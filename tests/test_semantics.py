@@ -16,7 +16,9 @@ specification of the reaction rules:
 * **sensitivity** — an intentionally-injected VM bug (reversed §2.2
   emit wake order, monkeypatched, test-only) is *caught* by the
   ``vm-vs-spec`` oracle, attributed by the three-way vote, and
-  *shrunk* to a minimal reproducer.
+  *shrunk* to a minimal reproducer; an injected awaiting-count miscount
+  (a region kill that keeps its victims counted) is caught by the
+  count-equals-recount check the VM runs after every driver call.
 """
 
 from __future__ import annotations
@@ -281,6 +283,37 @@ end
         assert attribution["odd_one_out"] == "vm"
         assert attribution["agreement"] == {
             "vm==c": False, "vm==spec": False, "c==spec": True}
+
+
+@pytest.fixture
+def buggy_vm_kill_count(monkeypatch):
+    """Mutate the VM (test-only): a region kill forgets to take its
+    awaiting victims off the O(1) awaiting count."""
+    original = Scheduler.kill_region
+
+    def mutated(self, prefix):
+        kept = self._awaiting
+        original(self, prefix)
+        self._awaiting = kept
+
+    monkeypatch.setattr(Scheduler, "kill_region", mutated)
+
+
+class TestInjectedMiscount:
+    def test_sweep_catches_a_kill_that_keeps_its_count(
+            self, buggy_vm_kill_count):
+        """The seeded sweep checks the maintained count against the
+        full recount after every driver call: the first case whose
+        script kills an awaiting trail reports a VM crash."""
+        for seed in range(200):
+            _verdict, fails = check_case(generate_case(seed), use_c=False,
+                                         use_semantics=True)
+            miscounts = [f for f in fails if f.oracle == "vm-crash"
+                         and "awaiting count" in f.details["error"]]
+            if miscounts:
+                assert "recount" in miscounts[0].details["error"]
+                return
+        pytest.fail("no case of the sweep caught the miscount")
 
 
 # ---------------------------------------------------------------------------
