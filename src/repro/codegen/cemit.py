@@ -87,6 +87,8 @@ class CEmitter:
         self._label = 1                # 1 = boot
         self._max_depth = self._measure_depth(bound.program.body, 0)
         self._scratch: list[str] = []  # extra C globals (counters, values)
+        self._value_slots: dict[int, str] = {}    # boundary nid → PARVAL_<i>
+        self._counter_slots: dict[int, str] = {}  # par/and nid → CNT_<i>
         self._cont_label: dict[int, int] = {}   # boundary nid → label
         self._loop_exit: dict[int, int] = {}    # loop nid → label
         self._loop_head: dict[int, int] = {}
@@ -311,19 +313,22 @@ class CEmitter:
             self.out(f"{target} = (intptr_t)(CEU_CLOCK - CEU_BASE);")
 
     # ----------------------------------------------------------------- par
-    def _value_slot(self, nid: int) -> str:
-        name = f"PARVAL_{nid}"
-        decl = f"static intptr_t {name};"
-        if decl not in self._scratch:
-            self._scratch.append(decl)
+    def _slot(self, slots: dict[int, str], prefix: str, ctype: str,
+              nid: int) -> str:
+        """The C global for node ``nid``, named by first-use order in
+        this emitter (node ids depend on what else the process parsed,
+        so naming by nid would make the output depend on it too)."""
+        name = slots.get(nid)
+        if name is None:
+            name = slots[nid] = f"{prefix}_{len(slots)}"
+            self._scratch.append(f"static {ctype} {name};")
         return name
 
+    def _value_slot(self, nid: int) -> str:
+        return self._slot(self._value_slots, "PARVAL", "intptr_t", nid)
+
     def _counter_slot(self, nid: int) -> str:
-        name = f"CNT_{nid}"
-        decl = f"static int {name};"
-        if decl not in self._scratch:
-            self._scratch.append(decl)
-        return name
+        return self._slot(self._counter_slots, "CNT", "int", nid)
 
     def _emit_kill(self, par: ast.ParStmt, note: str) -> None:
         lo, hi = self.gates.kill_range(par.nid)

@@ -30,9 +30,9 @@ to what this exporter always produced.
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+from typing import Optional
 
-from .hooks import HOOK_EVENTS, HookBus, HookSubscriber
+from .hooks import HookBus, HookRecorder, HookSubscriber
 
 _SCHED_TID = 0
 
@@ -239,7 +239,7 @@ def jsonl_line(rec: dict) -> str:
     return json.dumps(rec, default=repr)
 
 
-class JsonlExporter(HookSubscriber):
+class JsonlExporter(HookRecorder):
     """Machine-readable export: one JSON object per hook event, fields
     named per :data:`~repro.obs.hooks.HOOK_EVENTS`.
 
@@ -251,6 +251,11 @@ class JsonlExporter(HookSubscriber):
     def __init__(self) -> None:
         self.records: list[dict] = []
 
+    def record(self, event: str, fields: tuple[str, ...],
+               args: tuple) -> None:
+        self.records.append(jsonl_record(event, fields, args,
+                                         len(self.records)))
+
     def lines(self) -> list[str]:
         return [jsonl_line(r) for r in self.records]
 
@@ -259,16 +264,3 @@ class JsonlExporter(HookSubscriber):
             for line in self.lines():
                 fh.write(line + "\n")
 
-
-def _jsonl_recorder(event: str, fields: tuple[str, ...]) -> Callable:
-    def record(self, *args) -> None:
-        self.records.append(jsonl_record(event, fields, args,
-                                         len(self.records)))
-
-    record.__name__ = f"on_{event}"
-    return record
-
-
-for _name, _fields in HOOK_EVENTS.items():
-    setattr(JsonlExporter, f"on_{_name}", _jsonl_recorder(_name, _fields))
-del _name, _fields

@@ -11,12 +11,15 @@ so this module adds the two missing pieces:
   ``Histogram`` objects :mod:`repro.obs.metrics` uses everywhere, so a
   labelled bump costs what an unlabelled one does plus the lookup;
 
-* **rollup** — :func:`merge_snapshots` folds N per-instance registry
-  snapshots into one fleet snapshot: counters sum, gauges aggregate
-  (sum of values, min of mins, max of maxes), and histograms merge
+* **rollup** — :func:`merge_registries` folds N per-instance
+  registries into one fleet snapshot by each metric kind's merge rule
+  (:mod:`repro.obs.metrics`): counters sum, gauges aggregate (sum of
+  values, min of mins, max of maxes), and histograms merge
   bucket-by-bucket so the result yields true **cross-instance
   percentiles** (the p99 over every reaction on every instance, not an
-  average of per-instance p99s).
+  average of per-instance p99s).  :func:`merge_snapshots` and
+  :func:`merge_family_snapshots` rebuild snapshot dicts (a federated
+  shard's) into registries first and fold them the same way.
 
 Everything stays pure data: a family snapshot is a nested dict of
 primitives, directly JSON-serialisable and renderable by
@@ -25,11 +28,11 @@ primitives, directly JSON-serialisable and renderable by
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Optional, Sequence
 
-from .metrics import POW2_BUCKETS, Counter, Gauge, Histogram
-
-LabelValues = tuple
+from .metrics import (POW2_BUCKETS, Counter, Gauge, Histogram,
+                      MetricsRegistry, fold_metrics)
 
 
 def _label_key(values: Sequence) -> tuple:
@@ -64,11 +67,13 @@ class _Family:
             child = self.children[key] = self._make()
         return child
 
-    def _make(self):  # pragma: no cover - overridden
-        raise NotImplementedError
+    def _make(self):
+        return self.metric()
 
-    def _value(self, child) -> object:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def merge(self, other: "_Family") -> "_Family":
+        """Fold every series of ``other`` into the same-labelled one."""
+        fold_metrics(self.children, other.children)
+        return self
 
     def series(self) -> list[tuple[tuple, object]]:
         """Sorted ``(label_values, child)`` pairs."""
@@ -78,7 +83,7 @@ class _Family:
         return {
             "kind": self.kind,
             "labels": list(self.labelnames),
-            "series": [[list(key), self._value(child)]
+            "series": [[list(key), child.snapshot()]
                        for key, child in self.series()],
         }
 
@@ -87,12 +92,7 @@ class CounterFamily(_Family):
     """``Counter`` per label tuple."""
 
     kind = "counter"
-
-    def _make(self) -> Counter:
-        return Counter()
-
-    def _value(self, child: Counter) -> int:
-        return child.value
+    metric = Counter
 
     def total(self) -> int:
         return sum(c.value for c in self.children.values())
@@ -102,12 +102,7 @@ class GaugeFamily(_Family):
     """``Gauge`` per label tuple."""
 
     kind = "gauge"
-
-    def _make(self) -> Gauge:
-        return Gauge()
-
-    def _value(self, child: Gauge) -> dict:
-        return {"value": child.value, "min": child.min, "max": child.max}
+    metric = Gauge
 
 
 class HistogramFamily(_Family):
@@ -125,15 +120,12 @@ class HistogramFamily(_Family):
     def _make(self) -> Histogram:
         return Histogram(self.bounds)
 
-    def _value(self, child: Histogram) -> dict:
-        return child.snapshot()
-
     def aggregate(self) -> Histogram:
         """Merge every series into one histogram (cross-series
         percentiles come from its bucket counts)."""
         merged = Histogram(self.bounds)
         for child in self.children.values():
-            merge_histogram(merged, child)
+            merged.merge(child)
         return merged
 
 
@@ -174,39 +166,95 @@ class FleetRegistry:
         return self._family(HistogramFamily, name, labelnames,
                             bounds=bounds)
 
+    def merge(self, other: "FleetRegistry") -> "FleetRegistry":
+        """Fold every family of ``other`` in, series by series.  The same
+        family under another kind or label schema raises — shards
+        disagreeing about a schema is a deploy skew worth surfacing, not
+        averaging away."""
+        for name, fam in other.families.items():
+            mine = self.families.get(name)
+            if mine is None:
+                mine = self.families[name] = copy(fam)
+                mine.children = {}      # same schema, no series yet
+            elif (mine.kind != fam.kind
+                    or mine.labelnames != fam.labelnames):
+                raise ValueError(
+                    f"family {name!r} schema skew across shards: "
+                    f"{mine.kind}{list(mine.labelnames)} vs "
+                    f"{fam.kind}{list(fam.labelnames)}")
+            mine.merge(fam)
+        return self
+
     def snapshot(self) -> dict:
         return {name: fam.snapshot()
                 for name, fam in sorted(self.families.items())}
 
 
 # ------------------------------------------------------------------ merge
-def merge_histogram(into: Histogram, other: Histogram) -> Histogram:
-    """Fold ``other`` into ``into`` bucket-by-bucket (bounds must match)."""
-    if into.bounds != other.bounds:
-        raise ValueError(f"histogram bounds differ: {into.bounds} vs "
-                         f"{other.bounds}")
-    for i, c in enumerate(other.counts):
-        into.counts[i] += c
-    into.count += other.count
-    into.total += other.total
-    if other.min is not None and (into.min is None or other.min < into.min):
-        into.min = other.min
-    if other.max is not None and (into.max is None or other.max > into.max):
-        into.max = other.max
-    return into
+#: ``merge_histogram(into, other)`` folds ``other`` into ``into``
+merge_histogram = Histogram.merge
 
 
-def _histogram_from_snapshot(snap: dict) -> Histogram:
-    """Rehydrate a :meth:`Histogram.snapshot` dict (buckets carry the
-    bounds, so no out-of-band schema is needed)."""
-    bounds = tuple(b for b, _ in snap["buckets"] if b != "inf")
-    h = Histogram(bounds)
-    h.counts = [c for _, c in snap["buckets"]]
-    h.count = snap["count"]
-    h.total = snap["sum"]
-    h.min = snap["min"]
-    h.max = snap["max"]
-    return h
+def merge_registries(registries: Sequence[MetricsRegistry]) -> dict:
+    """Roll N live registries up into one snapshot.
+
+    The result has the exact shape of a single-instance snapshot plus an
+    ``instances`` count, so every renderer (``render_stats``,
+    ``render_prom``) works on it unchanged.
+    """
+    merged = MetricsRegistry()
+    for registry in registries:
+        merged.merge(registry)
+    return {"instances": len(registries), **merged.snapshot()}
+
+
+_FAMILIES = {"counter": CounterFamily, "gauge": GaugeFamily,
+             "histogram": HistogramFamily}
+
+
+def _metric(kind: str, value):
+    """Rebuild one snapshot value — a registry entry or a family series
+    — into its metric object."""
+    if kind == "counter":
+        metric = Counter()
+        metric.value = value
+    elif kind == "gauge":
+        metric = Gauge()
+        metric.value = value["value"]
+        # a snapshot without ``min`` counts its value as the min
+        metric.min = value.get("min", value["value"])
+        metric.max = value["max"]
+    else:
+        # the buckets carry the bounds: no out-of-band schema is needed
+        metric = Histogram(b for b, _ in value["buckets"] if b != "inf")
+        metric.counts = [c for _, c in value["buckets"]]
+        metric.count = value["count"]
+        metric.total = value["sum"]
+        metric.min = value["min"]
+        metric.max = value["max"]
+    return metric
+
+
+def _registry(snap: dict) -> MetricsRegistry:
+    """Rebuild a :meth:`MetricsRegistry.snapshot` dict."""
+    registry = MetricsRegistry()
+    for kind, metrics in (("counter", registry.counters),
+                          ("gauge", registry.gauges),
+                          ("histogram", registry.histograms)):
+        for name, value in snap.get(f"{kind}s", {}).items():
+            metrics[name] = _metric(kind, value)
+    return registry
+
+
+def _fleet(snap: dict) -> FleetRegistry:
+    """Rebuild a :meth:`FleetRegistry.snapshot` dict."""
+    fleet = FleetRegistry()
+    for name, fam in snap.items():
+        family = fleet.families[name] = _FAMILIES[fam["kind"]](
+            name, fam["labels"])
+        for key, value in fam["series"]:
+            family.children[tuple(key)] = _metric(fam["kind"], value)
+    return fleet
 
 
 def merge_histogram_snapshots(snaps: Sequence[dict]) -> dict:
@@ -214,112 +262,32 @@ def merge_histogram_snapshots(snaps: Sequence[dict]) -> dict:
     merged buckets, so they are true cross-instance percentiles."""
     merged: Optional[Histogram] = None
     for snap in snaps:
-        h = _histogram_from_snapshot(snap)
-        if merged is None:
-            merged = h
-        else:
-            merge_histogram(merged, h)
-    return merged.snapshot() if merged is not None else Histogram().snapshot()
+        h = _metric("histogram", snap)
+        merged = h if merged is None else merged.merge(h)
+    return (merged if merged is not None else Histogram()).snapshot()
 
 
 def merge_snapshots(snaps: Sequence[dict]) -> dict:
-    """Roll N :meth:`MetricsRegistry.snapshot` dicts up into one.
-
-    * counters — summed;
-    * gauges — ``value`` summed (fleet occupancy), ``min``/``max``
-      folded across instances (a pre-``min`` snapshot contributes its
-      value);
-    * histograms — bucket-merged via :func:`merge_histogram_snapshots`.
-
-    The result has the exact shape of a single-instance snapshot plus an
-    ``instances`` count, so every renderer (``render_stats``,
-    ``render_prom``) works on it unchanged.
-    """
-    counters: dict[str, int] = {}
-    gauges: dict[str, dict] = {}
-    histograms: dict[str, list[dict]] = {}
-    for snap in snaps:
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, g in snap.get("gauges", {}).items():
-            agg = gauges.get(name)
-            gmin = g.get("min", g["value"])
-            if agg is None:
-                gauges[name] = {"value": g["value"], "min": gmin,
-                                "max": g["max"]}
-            else:
-                agg["value"] += g["value"]
-                agg["min"] = min(agg["min"], gmin)
-                agg["max"] = max(agg["max"], g["max"])
-        for name, h in snap.get("histograms", {}).items():
-            histograms.setdefault(name, []).append(h)
-    return {
-        "instances": len(snaps),
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": {name: merge_histogram_snapshots(parts)
-                       for name, parts in sorted(histograms.items())},
-    }
+    """Roll N :meth:`MetricsRegistry.snapshot` dicts up into one: each is
+    rebuilt into a registry and folded by :func:`merge_registries`."""
+    return merge_registries([_registry(snap) for snap in snaps])
 
 
 def merge_family_snapshots(snaps: Sequence[dict]) -> dict:
     """Roll N :meth:`FleetRegistry.snapshot` dicts up into one.
 
-    The cross-*shard* analogue of :func:`merge_snapshots` (which rolls
-    per-instance registries): series are keyed on (family, label
-    values), counters sum, gauges sum values and fold min/max, and
-    histograms bucket-merge.  Disjoint families pass through; the same
-    family appearing with different label schemas or kinds raises —
-    shards disagreeing about a schema is a deploy skew worth surfacing,
-    not averaging away.
+    The cross-*shard* analogue of :func:`merge_snapshots`: each dict is
+    rebuilt into a :class:`FleetRegistry` and folded by
+    :meth:`FleetRegistry.merge`, so series are keyed on (family, label
+    values) and a schema skew across shards raises.
     """
-    merged: dict[str, dict] = {}
+    merged = FleetRegistry()
     for snap in snaps:
-        for name, fam in snap.items():
-            into = merged.get(name)
-            if into is None:
-                merged[name] = {"kind": fam["kind"],
-                                "labels": list(fam["labels"]),
-                                "series": [[list(k), _copy_value(fam, v)]
-                                           for k, v in fam["series"]]}
-                continue
-            if (into["kind"] != fam["kind"]
-                    or into["labels"] != list(fam["labels"])):
-                raise ValueError(
-                    f"family {name!r} schema skew across shards: "
-                    f"{into['kind']}{into['labels']} vs "
-                    f"{fam['kind']}{list(fam['labels'])}")
-            series = {tuple(k): v for k, v in into["series"]}
-            for key, value in fam["series"]:
-                key = tuple(key)
-                if key not in series:
-                    series[key] = _copy_value(fam, value)
-                elif fam["kind"] == "counter":
-                    series[key] = series[key] + value
-                elif fam["kind"] == "gauge":
-                    agg = series[key]
-                    agg["value"] += value["value"]
-                    agg["min"] = min(agg["min"], value["min"])
-                    agg["max"] = max(agg["max"], value["max"])
-                else:
-                    series[key] = merge_histogram_snapshots(
-                        [series[key], value])
-            into["series"] = [[list(k), v]
-                              for k, v in sorted(series.items())]
-    return dict(sorted(merged.items()))
-
-
-def _copy_value(fam: dict, value):
-    """Deep-enough copy of one series value so merging never mutates a
-    caller's snapshot in place."""
-    if fam["kind"] == "counter":
-        return value
-    if fam["kind"] == "gauge":
-        return dict(value)
-    return merge_histogram_snapshots([value])
+        merged.merge(_fleet(snap))
+    return merged.snapshot()
 
 
 __all__ = ["CounterFamily", "GaugeFamily", "HistogramFamily",
-           "FleetRegistry", "merge_histogram",
+           "FleetRegistry", "merge_histogram", "merge_registries",
            "merge_histogram_snapshots", "merge_snapshots",
            "merge_family_snapshots"]

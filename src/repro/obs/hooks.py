@@ -14,9 +14,11 @@ platforms) skip dispatch entirely — one attribute load and a branch per
 potential event, so the reference VM's speed and semantics are untouched.
 
 The event taxonomy lives in :data:`HOOK_EVENTS`; the dispatch methods on
-:class:`HookBus` and the JSONL exporter are both generated from it, so
-the taxonomy, the bus, and the machine-readable export cannot drift
-apart.
+:class:`HookBus` and the per-event handlers of :class:`HookRecorder` —
+the one base of every subscriber that records events generically (the
+event log, the causal graph, every JSONL sink) — are both generated
+from it, so the taxonomy, the bus, and the machine-readable export
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -144,7 +146,32 @@ for _name in HOOK_EVENTS:
     setattr(HookBus, _name, _dispatcher(_name))
 
 
-class EventLog(HookSubscriber):
+class HookRecorder(HookSubscriber):
+    """Base for subscribers that handle every event the same way.
+
+    Each generated ``on_<event>`` calls ``self.record(event, fields,
+    args)`` with the taxonomy's field names for that event, so a
+    subclass defines only :meth:`record`."""
+
+    def record(self, event: str, fields: tuple[str, ...],
+               args: tuple) -> None:  # pragma: no cover - overridden
+        raise NotImplementedError
+
+
+def _recorder(event: str, fields: tuple[str, ...]) -> Callable:
+    def on_event(self, *args) -> None:
+        self.record(event, fields, args)
+
+    on_event.__name__ = f"on_{event}"
+    return on_event
+
+
+for _name, _fields in HOOK_EVENTS.items():
+    setattr(HookRecorder, f"on_{_name}", _recorder(_name, _fields))
+del _name, _fields
+
+
+class EventLog(HookRecorder):
     """Records every event as ``(name, {field: value})`` — the simplest
     subscriber, used by tests and the JSONL exporter's foundation.
 
@@ -160,6 +187,11 @@ class EventLog(HookSubscriber):
         self.events: "deque[tuple[str, dict]] | list[tuple[str, dict]]" = (
             deque(maxlen=maxlen) if maxlen is not None else [])
         self.seen = 0
+
+    def record(self, event: str, fields: tuple[str, ...],
+               args: tuple) -> None:
+        self.seen += 1
+        self.events.append((event, dict(zip(fields, args))))
 
     @property
     def dropped(self) -> int:
@@ -206,17 +238,3 @@ class EventLog(HookSubscriber):
                 trigger = None
         return tuple(rows)
 
-
-def _recorder(event: str, fields: tuple[str, ...]) -> Callable:
-    def record(self, *args) -> None:
-        self.seen += 1
-        self.events.append((event, dict(zip(fields, args))))
-
-    record.__name__ = f"on_{event}"
-    return record
-
-
-for _name, _fields in HOOK_EVENTS.items():
-    setattr(EventLog, f"on_{_name}", _recorder(_name, _fields))
-
-del _name, _fields

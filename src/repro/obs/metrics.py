@@ -5,10 +5,17 @@ Everything is plain Python over plain ints — zero dependencies, cheap
 enough to leave attached during benchmarks.  A snapshot is a nested dict
 of primitives, directly JSON-serialisable (the ``BENCH_observability``
 format and ``repro profile --json`` both emit it verbatim).
+
+Each metric kind defines once how two of its kind merge
+(:meth:`Counter.merge`, :meth:`Gauge.merge`, :meth:`Histogram.merge`);
+every rollup — registries, labelled families, snapshots rebuilt from
+JSON — folds through :func:`fold_metrics` and those three rules.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from copy import copy
 from typing import Optional, Sequence
 
 from .hooks import HookSubscriber
@@ -28,6 +35,14 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
+
+    def merge(self, other: "Counter") -> "Counter":
+        """Fold ``other`` in: counts sum."""
+        self.value += other.value
+        return self
+
+    def snapshot(self) -> int:
+        return self.value
 
 
 class Gauge:
@@ -58,6 +73,17 @@ class Gauge:
     def dec(self, n: int = 1) -> None:
         self.set(self.value - n)
 
+    def merge(self, other: "Gauge") -> "Gauge":
+        """Fold ``other`` in: values sum (fleet occupancy), the
+        watermarks fold."""
+        self.value += other.value
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        return self
+
+    def snapshot(self) -> dict:
+        return {"value": self.value, "min": self.min, "max": self.max}
+
 
 class Histogram:
     """Fixed-bucket histogram with count/sum/min/max.
@@ -83,11 +109,27 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # the first bound >= value; past the last bound is the overflow
+        self.counts[bisect_left(self.bounds, value)] += 1
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Fold ``other`` in bucket by bucket (bounds must be equal)."""
+        if self.bounds != other.bounds:
+            raise ValueError(f"histogram bounds differ: {self.bounds} vs "
+                             f"{other.bounds}")
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.count += other.count
+        self.total += other.total
+        if other.min is not None and (self.min is None
+                                      or other.min < self.min):
+            self.min = other.min
+        if other.max is not None and (self.max is None
+                                      or other.max > self.max):
+            self.max = other.max
+        return self
+
+    def __copy__(self) -> "Histogram":
+        return Histogram(self.bounds).merge(self)
 
     @property
     def mean(self) -> float:
@@ -160,15 +202,30 @@ class MetricsRegistry:
             h = self.histograms[name] = Histogram(bounds)
         return h
 
+    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
+        """Fold every metric of ``other`` into this registry."""
+        fold_metrics(self.counters, other.counters)
+        fold_metrics(self.gauges, other.gauges)
+        fold_metrics(self.histograms, other.histograms)
+        return self
+
     def snapshot(self) -> dict:
-        return {
-            "counters": {k: c.value
-                         for k, c in sorted(self.counters.items())},
-            "gauges": {k: {"value": g.value, "min": g.min, "max": g.max}
-                       for k, g in sorted(self.gauges.items())},
-            "histograms": {k: h.snapshot()
-                           for k, h in sorted(self.histograms.items())},
-        }
+        return {kind: {k: m.snapshot() for k, m in sorted(metrics.items())}
+                for kind, metrics in (("counters", self.counters),
+                                      ("gauges", self.gauges),
+                                      ("histograms", self.histograms))}
+
+
+def fold_metrics(into: dict, other: dict) -> None:
+    """Merge each metric of ``other`` into ``into``'s metric of the same
+    key by its kind's rule; keys ``into`` lacks get a copy, so folding
+    never aliases (or later mutates) a metric of ``other``."""
+    for key, metric in other.items():
+        mine = into.get(key)
+        if mine is None:
+            into[key] = copy(metric)
+        else:
+            mine.merge(metric)
 
 
 #: µs latency buckets: 1µs … ~1s
@@ -216,11 +273,13 @@ class MetricsCollector(HookSubscriber):
     # ------------------------------------------------------------ hooks
     def on_reaction_begin(self, index, trigger, value, time_us) -> None:
         self.reactions.inc()
-        self.registry.counter(f"reactions_by_trigger.{_family(trigger)}") \
-            .inc()
+        self.registry.counter(
+            f"reactions_by_trigger.{trigger_family(trigger)}").inc()
         self._emits_this_reaction = 0
 
     def on_reaction_end(self, index, trigger, steps, wall_ns) -> None:
+        # ``steps`` is the scheduler's own per-reaction step count
+        self.steps.inc(steps)
         self.steps_per_reaction.record(steps)
         self.reaction_latency.record(wall_ns // 1000)
         r = self.registry
@@ -240,9 +299,6 @@ class MetricsCollector(HookSubscriber):
                 sum(1 for job in s.async_jobs
                     if not job.aborted and not job.done))
             r.gauge("memory_slots").set(s.memory.slot_count())
-
-    def on_step(self, trail, path, kind, line) -> None:
-        self.steps.inc()
 
     def on_trail_spawn(self, trail, path, time_us) -> None:
         self.trails_spawned.inc()
@@ -275,8 +331,9 @@ class MetricsCollector(HookSubscriber):
         self.region_kills.inc()
 
 
-def _family(trigger: str) -> str:
-    """Collapse `async:NNN` triggers so counters stay bounded."""
+def trigger_family(trigger: str) -> str:
+    """Collapse unbounded ``async:NNN`` triggers to one family, so
+    per-trigger series stay bounded."""
     return "async" if trigger.startswith("async:") else trigger
 
 

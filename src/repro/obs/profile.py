@@ -24,12 +24,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .hooks import HookSubscriber
-from .metrics import DEPTH_BUCKETS, FINE_LATENCY_BUCKETS, Histogram
-
-
-def trigger_family(trigger: str) -> str:
-    """Collapse unbounded trigger names (``async:NNN``) to a family."""
-    return "async" if trigger.startswith("async:") else trigger
+from .metrics import (DEPTH_BUCKETS, FINE_LATENCY_BUCKETS, Histogram,
+                      trigger_family)
 
 
 class Profiler(HookSubscriber):

@@ -24,10 +24,10 @@ kernel (:class:`~repro.sim.des.Simulator`):
   a :class:`~repro.obs.fleet.FleetRegistry` of labelled families —
   instances spawned/retired/live, queued and delivered events, output
   emits, stubbed C calls, watchdog flags;
-* :meth:`fleet_snapshot` rolls every per-instance registry up via
-  :func:`~repro.obs.fleet.merge_snapshots` (cross-instance latency
-  percentiles included) and :meth:`watchdog` flags stuck or lagging
-  instances from those histograms.
+* :meth:`fleet_snapshot` folds every live per-instance registry into
+  one via :func:`~repro.obs.fleet.merge_registries` (cross-instance
+  latency percentiles included) and :meth:`watchdog` flags stuck or
+  lagging instances from those histograms.
 
 Undefined C symbols (``_Leds_led0Toggle`` and friends) resolve to
 counting no-op stubs by default — any platform-flavoured program runs
@@ -37,13 +37,14 @@ Pass ``cenv_factory`` to bind real services instead.
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Any, Callable, Optional, Sequence, Union
 
 from ..lang import ast
 from ..lang.errors import RuntimeCeuError
 from ..lang.parser import parse
-from ..obs.fleet import FleetRegistry, merge_histogram, merge_snapshots
-from ..obs.hooks import HOOK_EVENTS, HookSubscriber
+from ..obs.fleet import FleetRegistry, merge_registries
+from ..obs.hooks import HookRecorder
 from ..obs.metrics import Histogram
 from ..obs.stream import FlightRecorder, StreamingJsonlExporter
 from ..obs.export import jsonl_line, jsonl_record
@@ -80,7 +81,7 @@ class _StubCEnv(CEnv):
             return stub
 
 
-class InstanceTap(HookSubscriber):
+class InstanceTap(HookRecorder):
     """Forwards one instance's hook events into the farm's shared line
     sinks, tagging each record with the instance id.
 
@@ -95,22 +96,13 @@ class InstanceTap(HookSubscriber):
         self.sinks = sinks
         self.instance = instance
 
-
-def _tap(event: str, fields: tuple[str, ...]) -> Callable:
-    def record(self, *args) -> None:
+    def record(self, event: str, fields: tuple[str, ...],
+               args: tuple) -> None:
         for sink in self.sinks:
             rec = jsonl_record(event, fields, args, sink.seq)
             rec["inst"] = self.instance
             sink.seq += 1
             sink._line(jsonl_line(rec))
-
-    record.__name__ = f"on_{event}"
-    return record
-
-
-for _name, _fields in HOOK_EVENTS.items():
-    setattr(InstanceTap, f"on_{_name}", _tap(_name, _fields))
-del _name, _fields
 
 
 class Instance:
@@ -253,24 +245,31 @@ class Farm:
         bound = self.programs[program]
         born = []
         for _ in range(n):
-            index = len(self.instances)
-            cenv = (self.cenv_factory() if self.cenv_factory is not None
-                    else _StubCEnv(self._c_calls))
-            prog = Program(bound, cenv=cenv, observe=self.observe,
+            prog = Program(bound, cenv=self._cenv(), observe=self.observe,
                            check=False, record=self.record)
-            prog.sched.output_handler = self._output_handler(program)
-            if self._sinks:
-                prog.observe(InstanceTap(self._sinks, index))
-            for sub in self._subscribers:
-                prog.observe(sub)
-            inst = Instance(index, program, prog, self.sim.now)
-            self.instances.append(inst)
-            self._spawned.labels(program).inc()
-            self._live_gauge.labels(program).inc()
+            inst = self._join(program, prog, self.sim.now)
             prog.start()
             self._post_drive(inst)
             born.append(inst)
         return born
+
+    def _cenv(self) -> CEnv:
+        return (self.cenv_factory() if self.cenv_factory is not None
+                else _StubCEnv(self._c_calls))
+
+    def _join(self, program: str, prog: Program, t0: int) -> Instance:
+        """Add ``prog`` to the fleet: its outputs, hook events and
+        subscribers feed the farm's shared telemetry from now on."""
+        inst = Instance(len(self.instances), program, prog, t0)
+        prog.sched.output_handler = self._output_handler(program)
+        if self._sinks:
+            prog.observe(InstanceTap(self._sinks, inst.index))
+        for sub in self._subscribers:
+            prog.observe(sub)
+        self.instances.append(inst)
+        self._spawned.labels(program).inc()
+        self._live_gauge.labels(program).inc()
+        return inst
 
     def _spawn_warm(self, n: int, program: Optional[str],
                     ckpt) -> list[Instance]:
@@ -287,8 +286,7 @@ class Farm:
         born = []
         for _ in range(n):
             index = len(self.instances)
-            cenv = (self.cenv_factory() if self.cenv_factory is not None
-                    else _StubCEnv(self._c_calls))
+            cenv = self._cenv()
             prog = Program(bound, cenv=cenv, observe=False, check=False,
                            record=self.record)
             prog.source = ckpt.source
@@ -315,18 +313,9 @@ class Farm:
             # the checkpointed instance's history, not this one's
             if self.observe:
                 sched.enable_metrics()
-            sched.output_handler = self._output_handler(program)
-            if self._sinks:
-                prog.observe(InstanceTap(self._sinks, index))
-            for sub in self._subscribers:
-                prog.observe(sub)
             # VM time continues from the checkpoint clock
-            inst = Instance(index, program, prog,
-                            self.sim.now - ckpt.clock_us)
-            self.instances.append(inst)
-            self._spawned.labels(program).inc()
+            inst = self._join(program, prog, self.sim.now - ckpt.clock_us)
             self._warm_starts.labels(program).inc()
-            self._live_gauge.labels(program).inc()
             self._post_drive(inst)
             born.append(inst)
         return born
@@ -458,17 +447,14 @@ class Farm:
         fleet_p50 = fleet_p99 = None
         per_instance: list[tuple[Instance, Optional[Histogram]]] = []
         if self.observe:
-            hists = []
+            merged: Optional[Histogram] = None
             for inst in self.instances:
                 h = inst.program.sched.metrics.histograms.get(
                     "reaction_latency_us")
                 per_instance.append((inst, h))
                 if h is not None and h.count:
-                    hists.append(h)
-            if hists:
-                merged = Histogram(hists[0].bounds)
-                for h in hists:
-                    merge_histogram(merged, h)
+                    merged = copy(h) if merged is None else merged.merge(h)
+            if merged is not None:
                 fleet_p50 = merged.percentile(50)
                 fleet_p99 = merged.percentile(99)
         for inst, h in per_instance:
@@ -586,11 +572,10 @@ class Farm:
     def fleet_snapshot(self) -> dict:
         """One JSON-ready snapshot of the whole fleet: the labelled farm
         families, the DES kernel counters, and the cross-instance rollup
-        of every per-instance registry."""
-        merged = merge_snapshots(
-            [inst.program.sched.metrics.snapshot()
-             for inst in self.instances]) if self.observe \
-            else merge_snapshots([])
+        of every per-instance registry (folded live, snapshotted once)."""
+        merged = merge_registries(
+            [inst.program.sched.metrics for inst in self.instances]
+            if self.observe else [])
         done = sum(1 for inst in self.instances if inst.program.done)
         return {
             "schema": 1,

@@ -130,7 +130,10 @@ class Scheduler:
         self._current_base = 0
         self._steps_this_reaction = 0
         self._emit_depth = 0               # §2.2 emit-stack depth
-        self._live: set[Trail] = set()
+        #: live trails in spawn order (a dict, not a set: kills and
+        #: termination walk it, and their hook order must not depend on
+        #: object addresses)
+        self._live: dict[Trail, None] = {}
         self.root: Optional[Trail] = None
 
     def depth(self, node: Optional[ast.Node]) -> int:
@@ -188,7 +191,7 @@ class Scheduler:
         trail = Trail(gen=None, path=(), parent_join=None, label="main")
         trail.gen = self.interp.trail_body(self.bound.program.body, trail)
         self.root = trail
-        self._live.add(trail)
+        self._live[trail] = None
         if self.hooks.enabled:
             self.hooks.trail_spawn(trail.label, trail.path, self.clock)
             trail.wake_cause = self.hooks.last_span
@@ -600,7 +603,7 @@ class Scheduler:
 
     def _trail_completed(self, trail: Trail) -> None:
         trail.alive = False
-        self._live.discard(trail)
+        self._live.pop(trail, None)
         join = trail.parent_join
         if join is None:
             return  # root trail finished; liveness check decides the rest
@@ -616,7 +619,7 @@ class Scheduler:
 
     def _trail_signal(self, trail: Trail, sig: Exception) -> None:
         trail.alive = False
-        self._live.discard(trail)
+        self._live.pop(trail, None)
         join = trail.parent_join
         if join is None:
             if isinstance(sig, ReturnSignal):
@@ -648,7 +651,7 @@ class Scheduler:
             child = Trail(gen=None, path=region + (i,), parent_join=join,
                           branch_index=i, label=label)
             child.gen = self.interp.trail_body(block, child)
-            self._live.add(child)
+            self._live[child] = None
             if self.hooks.enabled:
                 self.hooks.trail_spawn(child.label, child.path, self.clock)
                 child.wake_cause = self.hooks.last_span
@@ -667,7 +670,7 @@ class Scheduler:
             self.hooks.cause = self.hooks.last_span
         for trail in victims:
             trail.alive = False
-            self._live.discard(trail)
+            self._live.pop(trail, None)
             if trail.waiting in AWAITING:
                 self._awaiting -= 1
             if trail.gate is not None:

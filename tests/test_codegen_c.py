@@ -43,6 +43,35 @@ class TestEmittedStructure:
         with pytest.raises(UnsupportedForC):
             compile_to_c(bound_of("async do\nint i = 0;\nend"))
 
+    def test_output_independent_of_other_parses(self):
+        """Slot names (``PARVAL_``/``CNT_``) follow first use in the
+        emitter, not process-global node ids, so unrelated parses in
+        between cannot change the generated C."""
+        src = """
+        input void A, B;
+        int v;
+        v = par do
+           await A;
+           return 1;
+        with
+           await B;
+           return 2;
+        end;
+        par/and do
+           await A;
+        with
+           await B;
+        end
+        return v;
+        """
+        first = compile_to_c(bound_of(src)).code
+        bound_of("input void A;\npar/and do\nawait A;\nwith\nawait A;"
+                 "\nend")
+        bound_of("int x = 1;\nreturn x + 2;")
+        again = compile_to_c(bound_of(src)).code
+        assert again == first
+        assert "PARVAL_0" in first and "CNT_0" in first
+
     def test_metrics_exposed(self):
         c = compile_to_c(bound_of("""
         input void A, B;

@@ -27,7 +27,8 @@ import pytest
 
 from repro.apps import load
 from repro.cli import main
-from repro.obs import FlightRecorder, StreamingJsonlExporter, render_prom
+from repro.obs import (FlightRecorder, StreamingJsonlExporter,
+                       merge_snapshots, render_prom)
 from repro.runtime.farm import Farm
 
 GOLDEN = Path(__file__).parent / "goldens" / "farm_blink.prom"
@@ -218,6 +219,34 @@ class TestSharedTelemetry:
         assert [r["seq"] for r in records] == list(range(len(records)))
         assert {r["inst"] for r in records} == {0, 1, 2, 3}
         assert recorder.seq == len(records)
+
+    def test_live_fold_equals_snapshot_merge(self):
+        """The scrape folds the live per-instance registries and takes one
+        snapshot; the result must equal merging every instance's own
+        snapshot, byte for byte, and must not snapshot any instance."""
+        farm = Farm(observe=True)
+        farm.add_program("blink", load("blink"))
+        farm.add_program("sense", load("sense"))
+        sense = []
+        for wave in range(4):
+            farm.run_until(wave * 250_000)
+            farm.spawn(5, program="blink")
+            sense += [i.index for i in farm.spawn(5, program="sense")]
+        for tick in range(1, 20):
+            farm.send(sense[tick % len(sense)], "ReadDone", tick)
+            farm.run_until(1_000_000 + tick * 100_000)
+        registries = [i.program.sched.metrics for i in farm.instances]
+        want = json.dumps(merge_snapshots([r.snapshot()
+                                           for r in registries]))
+
+        def no_snapshot():
+            raise AssertionError("per-instance snapshot() during a fold")
+
+        for registry in registries:
+            registry.snapshot = no_snapshot
+        merged = farm.fleet_snapshot()["merged"]
+        assert merged["histograms"]["reaction_latency_us"]["count"] > 0
+        assert json.dumps(merged) == want
 
     def test_detached_farm_has_no_registries_but_counts_fleet(self):
         farm = Farm(load("blink"), n=3, program="blink", observe=False)

@@ -89,6 +89,54 @@ class TestHookBus:
             assert callable(getattr(bus, name))
             assert callable(getattr(sub, f"on_{name}"))
 
+    def test_every_event_reaches_every_record_subscriber(self, tmp_path):
+        """Each generic recorder sees every taxonomy event once, with the
+        fields named as in ``HOOK_EVENTS``."""
+        from repro.obs import (CausalGraph, FlightRecorder, JsonlExporter,
+                               LineTee, StreamingJsonlExporter)
+        from repro.runtime.farm import InstanceTap
+
+        bus = HookBus()
+        log = bus.subscribe(EventLog())
+        graph = bus.subscribe(CausalGraph(bus))
+        jsonl = bus.subscribe(JsonlExporter())
+        stream = bus.subscribe(
+            StreamingJsonlExporter(tmp_path / "s.jsonl", flush_every=3))
+        recorder = bus.subscribe(FlightRecorder())
+        tee = bus.subscribe(LineTee())
+        tapped = FlightRecorder()
+        bus.subscribe(InstanceTap([tapped], 7))
+        expected = []
+        for name, fields in HOOK_EVENTS.items():
+            args = tuple(f"{name}.{field}" for field in fields)
+            getattr(bus, name)(*args)
+            expected.append((name, dict(zip(fields, args))))
+        stream.close()
+        records = [{"ev": name, "seq": seq, **fields}
+                   for seq, (name, fields) in enumerate(expected)]
+        lines = [json.dumps(rec) for rec in records]
+        assert log.events == expected
+        assert [(n.event, n.fields) for n in graph.nodes.values()] == \
+            expected
+        assert graph.nodes[bus.last_span].reaction == "reaction_begin.index"
+        assert jsonl.records == records
+        assert (tmp_path / "s.jsonl").read_text().splitlines() == lines
+        assert recorder.lines() == lines == list(tee.ring)
+        assert [json.loads(line) for line in tapped.lines()] == \
+            [{**rec, "inst": 7} for rec in records]
+
+    def test_trails_killed_together_report_in_spawn_order(self):
+        """A region kill reports its victims in spawn order, so the
+        event stream never depends on object addresses."""
+        branches = "\nwith\n".join(["   await B;"] * 12)
+        src = (f"input void A, B;\npar/or do\n   await A;\nwith\n"
+               f"{branches}\nend\nawait forever;")
+        _, log = observed(src, "A")
+        spawned = [f["trail"] for _, f in log.of("trail_spawn")]
+        killed = [f["trail"] for _, f in log.of("trail_kill")]
+        assert len(killed) == 12
+        assert killed == [t for t in spawned if t in killed]
+
     def test_reaction_bracketing_order(self):
         _, log = observed(COUNTER_SRC, "A")
         names = log.names()
@@ -240,6 +288,56 @@ class TestMetrics:
         assert h.count == 6 and h.min == 0 and h.max == 100
         assert h.counts == [2, 1, 1, 2]    # ≤1, ≤2, ≤4, overflow
         assert h.snapshot()["buckets"][-1] == ["inf", 2]
+
+    def test_histogram_bisect_matches_linear_bucket_rule(self):
+        """``record`` bisects the bounds; the bucket it picks must be the
+        one the linear ``value <= bound`` scan picked: exact bounds,
+        just either side of them, zero, floats and overflow."""
+        bounds = (1, 2, 5, 10, 1000)
+
+        def linear(value):
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    return i
+            return len(bounds)
+
+        for value in (0, 0.0, -3, 0.5, 1, 1.0, 1.0000001, 2, 2.5, 5, 5.0,
+                      9.999, 10, 10.5, 999, 1000, 1000.0, 1000.001, 1001,
+                      10 ** 9, float("inf")):
+            h = Histogram(bounds)
+            h.record(value)
+            assert h.counts.index(1) == linear(value), value
+
+    def test_steps_counter_is_the_scheduler_count(self):
+        """``steps_total`` comes from the scheduler's per-reaction count,
+        so it always equals the runtime block's ``steps_total``."""
+        from pathlib import Path
+
+        from repro.apps import load, names
+        from repro.fuzz.oracles import run_vm
+        from repro.runtime.farm import Farm
+
+        runs = []
+        corpus = Path(__file__).parent / "corpus"
+        for path in sorted(corpus.glob("*.ceu")):
+            script = [tuple(item) for item in json.loads(
+                path.with_suffix(".json").read_text())["script"]]
+            runs.append(run_vm(path.read_text(), script,
+                               observe=True).stats)
+        for name in names():
+            # a game core spliced into hosts, and two apps that need
+            # platform services the farm's no-op C stubs cannot fake
+            if name in ("mario_game", "client", "ship"):
+                continue
+            farm = Farm(load(name), n=1, program=name)
+            for sym in farm.programs[name].events.values():
+                if sym.kind == "input" and not sym.type.pointers:
+                    farm.broadcast(sym.name, 1)
+            farm.run_until("3s")
+            runs.append(farm.instances[0].program.stats())
+        for stats in runs:
+            assert stats["counters"]["steps_total"] == \
+                stats["runtime"]["steps_total"] > 0
 
     def test_collector_standalone(self):
         reg = MetricsRegistry()
