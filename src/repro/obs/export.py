@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .hooks import HookBus, HookRecorder, HookSubscriber
+from .hooks import HOOK_EVENTS, HookBus, HookRecorder, HookSubscriber
 
 _SCHED_TID = 0
 
@@ -224,19 +224,49 @@ class ChromeTraceExporter(HookSubscriber):
 
 def jsonl_record(event: str, fields: tuple[str, ...], args: tuple,
                  seq: int) -> dict:
-    """The canonical JSONL record for one hook event.  Both the buffered
-    :class:`JsonlExporter` and the streaming exporter
-    (:mod:`repro.obs.stream`) build records here, so their output is
-    byte-identical line for line."""
+    """The canonical JSONL record for one hook event: ``ev``, ``seq``,
+    then the fields in taxonomy order.  With :func:`jsonl_line` it is
+    the reference every JSONL sink's output equals byte for byte."""
     rec = {"ev": event, "seq": seq}
     rec.update(zip(fields, args))
     return rec
 
 
 def jsonl_line(rec: dict) -> str:
-    """Render one record exactly as every JSONL exporter in the repo
-    does (``default=repr`` keeps arbitrary payloads serialisable)."""
+    """Render one record in full (``default=repr`` keeps arbitrary
+    payloads serialisable) — the reference for the split encoding."""
     return json.dumps(rec, default=repr)
+
+
+# The exporters encode a line in two parts so one record can reach
+# several sinks with a different ``seq`` each yet be encoded once:
+#
+#     jsonl_head(ev) + str(seq) + jsonl_tail(payload)
+#     == jsonl_line({"ev": ev, "seq": seq, **payload})
+#
+# provided no payload key is ``ev`` or ``seq`` (no taxonomy field is).
+def _head(event: str) -> str:
+    return '{"ev": %s, "seq": ' % json.dumps(event)
+
+
+_HEADS = {event: _head(event) for event in HOOK_EVENTS}
+#: ``json.dumps(obj, default=repr)`` without building an encoder per call
+_encode = json.JSONEncoder(default=repr).encode
+
+
+def jsonl_head(event: str) -> str:
+    """``{"ev": "<event>", "seq": `` — precomputed for every taxonomy
+    event."""
+    head = _HEADS.get(event)
+    return head if head is not None else _head(event)
+
+
+def jsonl_tail(payload: dict) -> str:
+    """Everything after the ``seq`` value: the payload's keys in order,
+    then the closing brace."""
+    if not payload:
+        return "}"
+    return ", " + _encode(payload)[1:]
 
 
 class JsonlExporter(HookRecorder):
@@ -257,7 +287,12 @@ class JsonlExporter(HookRecorder):
                                          len(self.records)))
 
     def lines(self) -> list[str]:
-        return [jsonl_line(r) for r in self.records]
+        out = []
+        for rec in self.records:
+            payload = dict(rec)
+            head = jsonl_head(payload.pop("ev"))
+            out.append(head + str(payload.pop("seq")) + jsonl_tail(payload))
+        return out
 
     def write(self, path) -> None:
         with open(path, "w") as fh:

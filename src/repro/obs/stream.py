@@ -7,9 +7,10 @@ provides the two long-running modes:
 
 * :class:`StreamingJsonlExporter` — writes each record to disk as it
   arrives, holding at most ``flush_every`` rendered lines in memory.
-  Output is **byte-identical** to the buffered exporter's (both build
-  records via :func:`~repro.obs.export.jsonl_record`), so downstream
-  tooling cannot tell which produced a file.  An optional rotation
+  Output is **byte-identical** to the buffered exporter's (both encode
+  lines with :func:`~repro.obs.export.jsonl_head` /
+  :func:`~repro.obs.export.jsonl_tail`), so downstream tooling cannot
+  tell which produced a file.  An optional rotation
   policy caps file size: when the current file exceeds ``rotate_bytes``
   it is shifted to ``path.1`` (older generations to ``.2`` … ``.keep``)
   and a fresh file is started.
@@ -34,7 +35,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
-from .export import jsonl_line, jsonl_record
+from .export import jsonl_head, jsonl_tail
 from .hooks import HookRecorder
 
 
@@ -47,7 +48,8 @@ class _LineSink(HookRecorder):
 
     def record(self, event: str, fields: tuple[str, ...],
                args: tuple) -> None:
-        line = jsonl_line(jsonl_record(event, fields, args, self.seq))
+        line = jsonl_head(event) + str(self.seq) \
+            + jsonl_tail(dict(zip(fields, args)))
         self.seq += 1
         self._line(line)
 

@@ -10,8 +10,12 @@ kernel (:class:`~repro.sim.des.Simulator`):
   amortised across the fleet);
 * each instance keeps its own VM clock, offset by its spawn time, and
   the farm arms exactly one calendar entry per instance — the earliest
-  pending deadline — re-armed after every drive, so calendar pressure is
-  O(instances), not O(armed timers);
+  pending deadline — re-armed after every drive, so the calendar holds
+  one entry per instance with a deadline, not one per armed timer;
+* a tick costs O(instances due + records), not O(instances): an
+  instance's clock is brought up to date only when it reacts (its
+  calendar entry fires, an event is delivered) or when someone reads
+  it (:meth:`Farm.align`, :meth:`Farm.checkpoint`), never by a sweep;
 * external events flow through **per-instance queues** realised on the
   calendar (:meth:`send` / :meth:`broadcast`), delivered in
   deterministic ``(time, seq)`` order;
@@ -19,7 +23,8 @@ kernel (:class:`~repro.sim.des.Simulator`):
   per-instance :class:`~repro.obs.metrics.MetricsRegistry` collectors,
   plus a :class:`~repro.obs.stream.StreamingJsonlExporter` and/or
   :class:`~repro.obs.stream.FlightRecorder` receiving every instance's
-  events (tagged ``"inst"``) under one global ``seq``;
+  events (tagged ``"inst"``) under one global ``seq``, each record
+  encoded once however many sinks receive it;
 * farm-level occurrences the per-instance registries cannot see live in
   a :class:`~repro.obs.fleet.FleetRegistry` of labelled families —
   instances spawned/retired/live, queued and delivered events, output
@@ -47,7 +52,7 @@ from ..obs.fleet import FleetRegistry, merge_registries
 from ..obs.hooks import HookRecorder
 from ..obs.metrics import Histogram
 from ..obs.stream import FlightRecorder, StreamingJsonlExporter
-from ..obs.export import jsonl_line, jsonl_record
+from ..obs.export import jsonl_head, jsonl_tail
 from ..sema.binder import BoundProgram, bind
 from ..sema.bounded import check_bounded
 from ..sim.des import Simulator
@@ -87,7 +92,8 @@ class InstanceTap(HookRecorder):
 
     Each sink keeps its own global ``seq`` across every instance, so the
     merged stream carries true fleet-wide ordering — the farm's exact
-    interleaved-writers usage of the streaming exporter.
+    interleaved-writers usage of the streaming exporter.  The record is
+    encoded once; each sink only splices its own ``seq`` in.
     """
 
     __slots__ = ("sinks", "instance")
@@ -98,11 +104,14 @@ class InstanceTap(HookRecorder):
 
     def record(self, event: str, fields: tuple[str, ...],
                args: tuple) -> None:
+        payload = dict(zip(fields, args))
+        payload["inst"] = self.instance
+        head = jsonl_head(event)
+        tail = jsonl_tail(payload)
         for sink in self.sinks:
-            rec = jsonl_record(event, fields, args, sink.seq)
-            rec["inst"] = self.instance
-            sink.seq += 1
-            sink._line(jsonl_line(rec))
+            seq = sink.seq
+            sink.seq = seq + 1
+            sink._line(head + str(seq) + tail)
 
 
 class Instance:
@@ -405,13 +414,32 @@ class Farm:
     # ------------------------------------------------------------- driving
     def run_until(self, spec: Union[int, str]) -> None:
         """Drive the calendar (deliveries + timer wakeups) to a virtual
-        time, then align every live instance's clock with it."""
-        t = parse_time(spec)
-        self.sim.run_until(t)
+        time.  Only the instances due by then run; the others' VM clocks
+        stay where their last reaction left them until :meth:`align`."""
+        self.sim.run_until(parse_time(spec))
+
+    def align(self) -> None:
+        """Bring every live instance's VM clock to the calendar's now.
+
+        Clocks only matter when read — reacting paths (:meth:`_fire`,
+        :meth:`send`, :meth:`spawn`) bring their own instance up to date
+        first — so this is for readers of the whole fleet's clocks, such
+        as a final drain.  It runs no reaction: see :meth:`_align`."""
         for inst in self.instances:
-            if inst.alive and not inst.program.done:
-                inst.program.at(inst.local(t))
-                self._post_drive(inst)
+            self._align(inst)
+
+    def _align(self, inst: Instance) -> None:
+        """Advance one live instance's VM clock to the calendar's now.
+        A correctly driven instance owes no work before now, so only the
+        clock moves; an instance with an overdue deadline (one the
+        watchdog calls stuck) is left as it stands."""
+        if not inst.alive or inst.program.done:
+            return
+        now = inst.local(self.sim.now)
+        sched = inst.program.sched
+        nd = sched.next_deadline()
+        if sched.clock < now and (nd is None or nd > now):
+            inst.program.at(now)
 
     def run_script(self, script) -> None:
         """Apply a fuzz/witness-format stimulus script to the fleet:
@@ -507,6 +535,7 @@ class Farm:
         from .checkpoint import snapshot
 
         inst = self.instances[index]
+        self._align(inst)
         ck = snapshot(inst.program,
                       source=self.sources.get(inst.program_name),
                       filename=f"<farm:{inst.program_name}>")

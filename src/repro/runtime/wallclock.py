@@ -129,6 +129,7 @@ class WallClockDriver:
         t = until_us if until_us is not None else self.now_us()
         with self.lock:
             self.farm.run_until(t)
+            self.farm.align()
         self._drained = True
         return t
 

@@ -431,6 +431,29 @@ class TestFarmWarmStarts:
         assert counters["farm_checkpoints_total"]["series"] == \
             [[["t"], 1]]
 
+    def test_checkpoint_clock_is_the_farm_time(self):
+        """``run_until`` leaves idle instances' clocks behind; the
+        checkpoint aligns its instance first, so ``clock_us`` is the
+        farm time and warm starts continue from it."""
+        farm = Farm(TIMERED, n=1, program="t", observe=False,
+                    record=True)
+        farm.run_until(3_000)
+        farm.spawn(1, program="t")
+        farm.broadcast("X", 5)
+        t = 47_000                  # no 10ms deadline due exactly here
+        farm.run_until(t)
+        for inst in list(farm.instances):
+            ck = farm.checkpoint(inst.index)
+            assert ck.clock_us == t - inst.t0
+            warm, = farm.spawn(1, program="t", warm_from=ck)
+            assert state_fingerprint(warm.program.sched) == \
+                ck.fingerprint
+            assert warm.local(t) == ck.clock_us
+        farm.run_until(95_000)
+        mems = [inst.program.sched.memory.snapshot()
+                for inst in farm.instances]
+        assert mems[2] == mems[0] and mems[3] == mems[1]
+
     def test_warm_instance_tracks_the_original(self):
         farm = Farm(TIMERED, n=1, program="t", observe=False,
                     record=True)

@@ -204,6 +204,53 @@ class TestCalendar:
         assert flags["series"] == [[["stuck"], 1]]
 
 
+class TestTickCost:
+    TICK = "loop do\n   await 5ms;\nend\n"
+
+    def test_tick_cost_is_flat_in_idle_instances(self, monkeypatch):
+        """A tick drives only the instances due in it: the VM clock
+        calls during one 10 ms ``run_until`` are the same beside 10 and
+        beside 2,000 idle instances."""
+        from repro.runtime.scheduler import Scheduler
+
+        real = Scheduler.go_time
+        counts = []
+        for n_idle in (10, 2_000):
+            farm = Farm(observe=False)
+            farm.add_program("blink", load("blink"))
+            farm.add_program("tick", self.TICK)
+            farm.spawn(n_idle, program="blink")   # first deadline 250ms
+            farm.run_until(100_000)
+            farm.spawn(3, program="tick")         # due at 105 and 110ms
+            calls = []
+
+            def counting(sched, now, _calls=calls):
+                _calls.append(now)
+                return real(sched, now)
+
+            monkeypatch.setattr(Scheduler, "go_time", counting)
+            farm.run_until(farm.sim.now + 10_000)
+            monkeypatch.setattr(Scheduler, "go_time", real)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 3 * 2, counts
+
+    def test_align_brings_every_clock_to_now_without_reacting(self):
+        farm = Farm(load("blink"), n=3, program="blink")
+        farm.run_until(300_000)
+        late, = farm.spawn(1, program="blink")
+        farm.run_until(400_000)
+        reactions = [i.program.sched.reaction_count
+                     for i in farm.instances]
+        # nobody was due since 250ms: the clocks lag until aligned
+        assert farm.instances[0].program.sched.clock == 250_000
+        farm.align()
+        assert [i.program.sched.clock for i in farm.instances] == \
+            [400_000] * 3 + [100_000]
+        assert [i.program.sched.reaction_count
+                for i in farm.instances] == reactions
+        assert late.program.sched.clock == late.local(400_000)
+
+
 # ------------------------------------------------------------ telemetry
 class TestSharedTelemetry:
     def test_fleet_stream_is_inst_tagged_with_global_seq(self, tmp_path):

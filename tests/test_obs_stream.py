@@ -278,3 +278,72 @@ class TestAcceptanceScale:
         assert recorder.seq >= 100_000
         assert len(recorder.ring) == 4096   # resident ≤ ring size
         assert recorder.dropped == recorder.seq - 4096
+
+
+# ----------------------------------------------------- single encoding
+#: awkward payloads: quotes and backslashes, non-ASCII text, tuples,
+#: ``None``, and an object only ``default=repr`` can render
+class _Opaque:
+    def __repr__(self) -> str:
+        return '<opaque "é">'
+
+
+AWKWARD = ('say "hi"\\n', "ünïcödé ✓", (1, ("a", None)), None, _Opaque(),
+           -7, 2.5)
+
+
+def _args_for(fields):
+    return tuple(AWKWARD[i % len(AWKWARD)] for i in range(len(fields)))
+
+
+class TestSingleEncoding:
+    def test_no_taxonomy_field_collides_with_the_envelope(self):
+        # the split encoding splices ``ev``/``seq`` before the payload
+        # and the farm appends ``inst``: a field of that name would
+        # duplicate a key
+        for event, fields in HOOK_EVENTS.items():
+            assert not {"ev", "seq", "inst"} & set(fields), event
+
+    def test_instance_tap_sinks_equal_the_reference(self, tmp_path):
+        from repro.obs import LineTee
+        from repro.obs.export import jsonl_line, jsonl_record
+        from repro.runtime.farm import InstanceTap
+
+        path = tmp_path / "tap.jsonl"
+        stream = StreamingJsonlExporter(path, flush_every=5)
+        recorder = FlightRecorder(maxlen=1024)
+        tee = LineTee(maxlen=1024)
+        recorder.seq, tee.seq = 3, 11        # independent sequences
+        sinks = [stream, recorder, tee]
+        tap = InstanceTap(sinks, 42)
+        expected = {id(sink): [] for sink in sinks}
+        for event, fields in HOOK_EVENTS.items():
+            args = _args_for(fields)
+            for sink in sinks:
+                rec = jsonl_record(event, fields, args, sink.seq)
+                expected[id(sink)].append(jsonl_line(rec | {"inst": 42}))
+            getattr(tap, f"on_{event}")(*args)
+        stream.close()
+        assert path.read_text().splitlines() == expected[id(stream)]
+        assert recorder.lines() == expected[id(recorder)]
+        assert list(tee.ring) == expected[id(tee)]
+        assert recorder.seq == 3 + len(HOOK_EVENTS)
+
+    def test_line_sinks_and_buffered_lines_equal_the_reference(self):
+        from repro.obs.export import jsonl_line, jsonl_record
+
+        recorder = FlightRecorder(maxlen=1024)
+        buffered = JsonlExporter()
+        expected = []
+        for seq, (event, fields) in enumerate(HOOK_EVENTS.items()):
+            args = _args_for(fields)
+            expected.append(jsonl_line(jsonl_record(event, fields, args,
+                                                    seq)))
+            for sink in (recorder, buffered):
+                getattr(sink, f"on_{event}")(*args)
+        assert recorder.lines() == expected
+        assert buffered.lines() == expected
+        # records appended by hand (the fuzz runner's) may carry no
+        # payload at all
+        buffered.records.append({"ev": "bare", "seq": len(expected)})
+        assert buffered.lines()[-1] == jsonl_line(buffered.records[-1])
