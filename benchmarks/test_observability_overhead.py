@@ -18,60 +18,42 @@ both run the identical guarded no-op path, so any spread between them
 the disabled path.
 """
 
-import time
-
 from conftest import publish, record_metrics
 
-from repro.obs import ChromeTraceExporter, JsonlExporter, Profiler
-from repro.runtime import Program
+from repro.bench import VM_MODES, interleave, vm_mode, vm_program
 
-from test_vm_throughput import make_fanout
-
-TRAILS = 16
-EVENTS = 300
+MODES = tuple(mode for mode in VM_MODES if mode != "causal")
 
 
-def run_once(mode: str) -> float:
-    program = Program(make_fanout(TRAILS),
-                      observe=mode in ("metrics", "full"))
-    if mode == "full":
-        program.observe(ChromeTraceExporter())
-        program.observe(JsonlExporter())
-    elif mode == "detached":
-        probe = program.observe(Profiler())
-        program.hooks.unsubscribe(probe)
-        assert not program.hooks.enabled
-    start = time.perf_counter()
-    program.start()
-    for _ in range(EVENTS):
-        program.send("A")
-    elapsed = time.perf_counter() - start
-    if mode == "metrics":
-        record_metrics("observability_overhead", program.stats())
-    return elapsed
+def timings(modes, repeats: int = 5) -> dict:
+    """Best-of-``repeats`` seconds per mode of ``repro bench``'s vm
+    workload (16 trails, 300 events), the modes interleaved."""
+    best = interleave({mode: vm_mode(mode) for mode in modes}, repeats)
+    if "metrics" in best:
+        record_metrics("observability_overhead", best["metrics"][1])
+    return {mode: secs for mode, (secs, _) in best.items()}
 
 
 def test_observability_overhead(benchmark):
-    timings = {mode: min(run_once(mode) for _ in range(5))
-               for mode in ("off", "detached", "metrics", "full")}
-    benchmark(run_once, "off")
-    rows = [f"{mode:8s} {secs * 1e3:8.2f} ms  "
-            f"(x{secs / timings['off']:.2f} vs off)"
-            for mode, secs in timings.items()]
+    secs = timings(MODES)
+    benchmark(vm_mode("off"))
+    rows = [f"{mode:8s} {s * 1e3:8.2f} ms  (x{s / secs['off']:.2f} vs off)"
+            for mode, s in secs.items()]
     publish("observability_overhead", "\n".join(rows))
     # observers cost something, but must stay within an order of magnitude
-    assert timings["full"] < timings["off"] * 10
+    assert secs["full"] < secs["off"] * 10
 
 
 def test_hooks_off_fast_path_within_noise_of_seed_vm(benchmark):
-    """The pin ISSUE 4 asks for: with no (or no remaining) subscribers,
+    """The hooks-off pin: with no (or no remaining) subscribers,
     the instrumented VM must match seed-VM throughput.  Both modes
     execute the identical guarded fast path, so a generous 1.5x bound
     catches real regressions (an accidentally-enabled bus costs 3-10x)
     without flaking on scheduler noise."""
-    off = min(run_once("off") for _ in range(5))
-    detached = min(run_once("detached") for _ in range(5))
-    benchmark(run_once, "detached")
+    assert not vm_program("detached").hooks.enabled
+    secs = timings(("off", "detached"))
+    off, detached = secs["off"], secs["detached"]
+    benchmark(vm_mode("detached"))
     publish("hooks_off_fast_path",
             f"off      {off * 1e3:8.2f} ms\n"
             f"detached {detached * 1e3:8.2f} ms  (x{detached / off:.2f})")

@@ -1,48 +1,53 @@
 """Benchmark snapshots and the perf regression gate (``repro bench``).
 
-One command measures the repo's performance-sensitive surfaces and
-writes a machine-readable snapshot:
+Each measurement is one :class:`Section` record in :data:`SECTIONS`: its
+name, the function that measures it, the file it writes, a one-line
+summary and its gates as :class:`Gate` rows.
+``vm`` and ``stream`` always run; ``--farm``, ``--analysis``, ``--serve``
+and ``--checkpoint`` add the section of the same name.
 
-* **VM reaction throughput** over the standard fan-out workload, in
-  five instrumentation configurations — ``off`` (no subscribers ever),
-  ``detached`` (subscribed then unsubscribed: the hooks-off fast path
-  after a profiling session ends), ``metrics``, ``full`` (metrics +
-  both exporters), and ``causal`` (a :class:`~repro.obs.CausalGraph`
-  subscribed; recorded for the trajectory, not gated);
-* **reaction-latency percentiles** (p50/p95/p99 µs) from the profiler;
-* **deterministic counters** (reactions, steps, emits …) from the
-  metrics run — machine-independent, gated *exactly*;
-* **DES + streaming-exporter throughput** with the exporter's resident
-  high-water mark.
+* ``vm`` — reaction throughput over the standard fan-out workload in
+  five instrumentation modes: ``off`` (no subscribers ever), ``detached``
+  (subscribed then unsubscribed: the hooks-off fast path after a
+  profiling session ends), ``metrics``, ``full`` (metrics + both
+  exporters) and ``causal`` (a :class:`~repro.obs.CausalGraph`); the
+  profiler's latency percentiles; the metrics run's deterministic
+  counters;
+* ``stream`` — DES + streaming-exporter throughput and the exporter's
+  resident high-water mark;
+* ``farm`` — reactor-farm spawn and drive throughput with fleet telemetry
+  attached vs detached, cross-instance latency, resident bytes per
+  instance beside the :mod:`repro.analysis.bounds` prediction;
+* ``analysis`` — incremental-vs-cold lint latency over examples + corpus;
+* ``serve`` — admin-server overhead on a detached farm's drive loop;
+* ``checkpoint`` — journal-recording overhead, capture/restore cost and
+  the warm-start speedup over a cold instrumented boot.
 
-Snapshots are written as timestamped ``BENCH_<UTCSTAMP>.json`` files
-under ``benchmarks/`` (never the repo root) so a perf trajectory
-accumulates across commits.  ``--check`` compares a fresh snapshot
-against the committed baseline (``benchmarks/BENCH_baseline.json``):
-deterministic counters must match exactly; instrumentation-overhead
-*ratios* (metrics/off, full/off, detached/off) must stay within
-``--tolerance`` of the baseline ratios.  Absolute wall-clock times are
-recorded for the trajectory but never gated — they measure the CI
-machine, not the code.
+:func:`interleave` times every section's modes.  Within each repeat it
+runs every mode once, so a ratio divides runs taken under the same host
+conditions, and it keeps each mode's best run.
 
-``--farm`` additionally measures the reactor farm
-(:mod:`repro.runtime.farm`): instance-spawn and event throughput with
-fleet telemetry attached vs detached, cross-instance reaction-latency
-percentiles, and resident bytes per instance beside the
-:mod:`repro.analysis.bounds` static prediction.  The farm section is
-recorded in the snapshot *and* as ``benchmarks/BENCH_farm.json``; it is
-never gated (yet) — the numbers seed the trajectory the compiled tier
-will be measured against.
+Each run writes a timestamped ``BENCH_<UTCSTAMP>.json`` under
+``benchmarks/`` (never the repo root), so a perf trajectory accumulates
+across commits.  :func:`check` walks every gate row of every measured
+section and returns all violations.  Absolute rows always run; rows
+against the committed baseline (``benchmarks/BENCH_baseline.json``) and
+the vm ``detached_vs_off`` cap run under ``--check``.  Absolute
+wall-clock times are recorded but never gated: they measure the machine,
+not the code.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import operator
 import platform
 import time
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .obs import (ChromeTraceExporter, JsonlExporter, Profiler,
                   StreamingJsonlExporter)
@@ -53,29 +58,16 @@ from .sim.des import Simulator
 SCHEMA = 1
 
 #: every benchmark artifact lives here — snapshots, the baseline, the
-#: farm record; ``repro bench`` never writes into the repo root
+#: section records; ``repro bench`` never writes into the repo root
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 #: the committed regression baseline (see ``--update-baseline``)
 BASELINE_PATH = BENCH_DIR / "BENCH_baseline.json"
 
-#: the reactor-farm record (``--farm``; recorded, not gated)
-FARM_PATH = BENCH_DIR / "BENCH_farm.json"
-
-#: the incremental-analysis record (``--analysis``; recorded, not gated)
-ANALYSIS_PATH = BENCH_DIR / "BENCH_analysis.json"
-
-#: the telemetry-plane serving-path record (``--serve``; the idle-server
-#: drive ratio IS gated — see SERVE_BUDGET)
-SERVE_PATH = BENCH_DIR / "BENCH_serve.json"
-
 #: hard ceiling on attached-server drive overhead: an idle admin server
 #: must cost the reaction path <= 5% (the near-zero-cost instrumentation
 #: budget; scraped-under-load is recorded, not gated)
 SERVE_BUDGET = 1.05
-
-#: the checkpoint-plane record (``--checkpoint``; both ratios gated)
-CHECKPOINT_PATH = BENCH_DIR / "BENCH_checkpoint.json"
 
 #: hard ceiling on journal-recording drive overhead: keeping every
 #: instance checkpointable must cost the farm drive loop <= 5%
@@ -86,18 +78,131 @@ CHECKPOINT_BUDGET = 1.05
 #: fully-instrumented boot-and-drive to the same state by >= 5x
 WARM_SPEEDUP_MIN = 5.0
 
-#: overhead ratios gated against the baseline.  The ``causal`` mode
-#: (CausalGraph subscribed) is *recorded* in snapshots but not gated:
-#: older baselines predate it, and its cost tracks the full-export modes
-#: that already are.
+#: overhead ratios gated against the baseline.  ``causal_vs_off`` is
+#: recorded but not gated: older baselines predate it, and its cost
+#: tracks the full-export modes that already are.
 RATIO_KEYS = ("metrics_vs_off", "full_vs_off", "detached_vs_off")
 
+VM_MODES = ("off", "detached", "metrics", "full", "causal")
+FARM_MODES = ("attached", "detached")
+SERVE_MODES = ("noserver", "idle", "scraped")
+
+#: the sections every run measures; each other one has a flag of its name
+CORE = ("vm", "stream")
+
+# workload sizes, read when a section runs so tests can shrink them
 TRAILS = 16
 EVENTS = 300
 DES_EVENTS = 20_000
 FARM_INSTANCES = 5_000
 FARM_SIM_US = 1_000_000
 FARM_MEM_SAMPLE = 500
+SERVE_INSTANCES = 2_000
+SERVE_SIM_US = 1_000_000
+CKPT_INSTANCES = 200
+#: long enough that steady-state reaction work dominates the fixed
+#: per-instance spawn cost both sides pay — the regime warm starts are
+#: for (short horizons under-report the speedup)
+CKPT_SIM_US = 5_000_000
+
+
+class Gate(NamedTuple):
+    """One gate row: the value at the dotted ``path`` inside a section,
+    held to ``bound`` by ``kind``:
+
+    * ``exact`` — every key of the baseline's dict at ``path`` matches;
+    * ``tolerance`` — at most ``--tolerance`` (relative) above baseline;
+    * ``max`` / ``min`` / ``equal`` — ``<=`` / ``>=`` / ``==`` ``bound``,
+      where a string ``bound`` names another key of the same section.
+
+    ``exact`` and ``tolerance`` rows run only against a baseline, and so
+    does a ``baseline_only`` absolute row."""
+
+    path: str
+    kind: str
+    bound: Any = None
+    baseline_only: bool = False
+
+    def check(self, data: dict, base: Optional[dict],
+              tolerance: float) -> list[str]:
+        """This row's violations (empty = passes)."""
+        if base is None and (self.baseline_only
+                             or self.kind in ("exact", "tolerance")):
+            return []
+        got = _get(data, self.path)
+        if self.kind == "exact":
+            got = got or {}
+            return [f"{self.path}.{key}: expected {expect}, "
+                    f"got {got.get(key)}"
+                    for key, expect in sorted(
+                        (_get(base, self.path) or {}).items())
+                    if got.get(key) != expect]
+        if self.kind == "tolerance":
+            expect = _get(base, self.path)
+            if expect is None or got is None:
+                return [f"{self.path}: missing (baseline={expect}, "
+                        f"snapshot={got})"]
+            if got > expect * (1.0 + tolerance):
+                return [f"{self.path}: {got:.2f} exceeds baseline "
+                        f"{expect:.2f} by more than {tolerance:.0%}"]
+            return []
+        if isinstance(self.bound, str):
+            bound = _get(data, self.bound)
+            label = f"{self.bound} ({bound})"
+        else:
+            bound = label = self.bound
+        if got is None or bound is None:
+            return [f"{self.path}: missing"]
+        test, sign = _BOUND_KINDS[self.kind]
+        if test(got, bound):
+            return []
+        shown = f"{got:.3f}" if isinstance(got, float) else got
+        return [f"{self.path} = {shown}, must be {sign} {label}"]
+
+
+_BOUND_KINDS = {"max": (operator.le, "<="), "min": (operator.ge, ">="),
+                "equal": (operator.eq, "==")}
+
+
+def _get(data: Optional[dict], path: str) -> Any:
+    for key in path.split("."):
+        if not isinstance(data, dict):
+            return None
+        data = data.get(key)
+    return data
+
+
+def _within(data: dict, gates: tuple[Gate, ...]) -> bool:
+    """Whether ``data`` passes every absolute row of ``gates``."""
+    return not any(gate.check(data, None, 0.0) for gate in gates)
+
+
+def _timed(fn: Callable, *args, **kwargs) -> tuple[float, Any]:
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return time.perf_counter() - start, result
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den else 0.0
+
+
+def interleave(modes: dict[str, Callable[[], tuple[float, Any]]],
+               repeats: int) -> dict[str, tuple[float, Any]]:
+    """Best-of-``repeats`` timing of every mode, run round-robin within
+    each repeat so that host noise lands on all modes alike.  A mode is a
+    callable returning ``(seconds, result)``; each mode maps to its
+    fastest run's ``(seconds, result)``."""
+    best: dict[str, tuple[float, Any]] = {}
+    for _ in range(repeats):
+        for name, run in modes.items():
+            # start each run from a collected heap, so that one mode's
+            # garbage is not collected inside the next mode's timing
+            gc.collect()
+            secs, result = run()
+            if name not in best or secs < best[name][0]:
+                best[name] = (secs, result)
+    return best
 
 
 def make_fanout(n: int) -> str:
@@ -111,130 +216,115 @@ def make_fanout(n: int) -> str:
     return f"input void A;\n{decls}\npar do\n{branches}\nend"
 
 
-def _drive(program: Program, events: Optional[int] = None) -> float:
-    if events is None:
-        events = EVENTS          # late-bound so tests can shrink it
+def _drive(program: Program) -> float:
     start = time.perf_counter()
     program.start()
-    for _ in range(events):
+    for _ in range(EVENTS):
         program.send("A")
     return time.perf_counter() - start
 
 
-def _time_mode(mode: str, repeats: int) -> tuple[float, Optional[dict]]:
-    """Best-of-``repeats`` seconds for one instrumentation mode; the
-    metrics mode also returns its (deterministic) stats snapshot."""
-    best = float("inf")
-    stats = None
-    for _ in range(repeats):
-        program = Program(make_fanout(TRAILS),
-                          observe=mode in ("metrics", "full"))
-        if mode == "full":
-            program.observe(ChromeTraceExporter())
-            program.observe(JsonlExporter())
-        elif mode == "causal":
-            from .obs import CausalGraph
+def vm_program(mode: str) -> Program:
+    """The fan-out workload with ``mode``'s instrumentation attached."""
+    program = Program(make_fanout(TRAILS),
+                      observe=mode in ("metrics", "full"))
+    if mode == "full":
+        program.observe(ChromeTraceExporter())
+        program.observe(JsonlExporter())
+    elif mode == "causal":
+        from .obs import CausalGraph
 
-            program.observe(CausalGraph(program.hooks))
-        elif mode == "detached":
-            # subscribe + unsubscribe: the bus must drop back to the
-            # guarded no-op fast path once the last subscriber leaves
-            probe = program.observe(Profiler())
-            program.hooks.unsubscribe(probe)
-        best = min(best, _drive(program))
-        if mode == "metrics" and stats is None:
-            stats = program.stats()
-    return best, stats
+        program.observe(CausalGraph(program.hooks))
+    elif mode == "detached":
+        # subscribe + unsubscribe: the bus must drop back to the guarded
+        # no-op fast path once the last subscriber leaves
+        probe = program.observe(Profiler())
+        program.hooks.unsubscribe(probe)
+    return program
+
+
+def vm_mode(mode: str) -> Callable[[], tuple[float, dict]]:
+    """A mode for :func:`interleave`: one drive of :func:`vm_program`,
+    returning its stats (not the program, whose exporters would keep
+    every record alive through the other modes' runs)."""
+    def run() -> tuple[float, dict]:
+        program = vm_program(mode)
+        return _drive(program), program.stats()
+    return run
 
 
 def bench_vm(repeats: int = 3) -> dict:
     """Reaction throughput in all five instrumentation modes, plus the
     deterministic counters and the profiler's latency percentiles."""
-    timings = {}
-    counters = {}
-    for mode in ("off", "detached", "metrics", "full", "causal"):
-        secs, stats = _time_mode(mode, repeats)
-        timings[mode] = secs
-        if stats is not None:
-            counters = stats["counters"]
+    best = interleave({mode: vm_mode(mode) for mode in VM_MODES}, repeats)
+    timings = {mode: secs for mode, (secs, _) in best.items()}
     program = Program(make_fanout(TRAILS))
     profiler = program.observe(Profiler())
     _drive(program)
-    latency = {family: h.percentiles()
-               for family, h in sorted(profiler.latency.items())}
-    off = timings["off"]
     return {
         "workload": {"trails": TRAILS, "events": EVENTS},
         "timings_s": timings,
-        "ratios": {
-            "metrics_vs_off": timings["metrics"] / off,
-            "full_vs_off": timings["full"] / off,
-            "detached_vs_off": timings["detached"] / off,
-            "causal_vs_off": timings["causal"] / off,
-        },
-        "reactions_per_s": (EVENTS + 1) / off,
-        "counters": counters,
-        "latency_us": latency,
+        "ratios": {f"{mode}_vs_off": _ratio(timings[mode], timings["off"])
+                   for mode in VM_MODES[1:]},
+        "reactions_per_s": _ratio(EVENTS + 1, timings["off"]),
+        "counters": best["metrics"][1]["counters"],
+        "latency_us": {family: h.percentiles()
+                       for family, h in sorted(profiler.latency.items())},
     }
 
 
-def bench_stream(tmpdir: Path, n_events: Optional[int] = None) -> dict:
+def bench_stream() -> dict:
     """DES calendar churn with the streaming exporter attached: export
-    throughput and the exporter's bounded-memory high-water mark."""
-    if n_events is None:
-        n_events = DES_EVENTS    # late-bound so tests can shrink it
-    path = Path(tmpdir) / "stream.jsonl"
+    throughput and the exporter's bounded-memory high-water mark (one
+    run: the high-water mark, not the time, is gated)."""
+    import tempfile
+
     bus = HookBus()
     sim = Simulator(hooks=bus)
-    with StreamingJsonlExporter(path, flush_every=512) as exporter:
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp, \
+            StreamingJsonlExporter(Path(tmp) / "stream.jsonl",
+                                   flush_every=512) as exporter:
         bus.subscribe(exporter)
 
         def tick(i: int = 0):
-            if i < n_events:
+            if i < DES_EVENTS:
                 sim.after(10, lambda: tick(i + 1))
 
-        start = time.perf_counter()
-        tick()
-        sim.run()
-        elapsed = time.perf_counter() - start
-        resident_high = exporter.resident_high
+        elapsed, _ = _timed(lambda: (tick(), sim.run()))
     return {
         "des_events": sim.events_fired,
         "records": exporter.seq,
         "elapsed_s": elapsed,
-        "records_per_s": exporter.seq / elapsed if elapsed else 0.0,
-        "resident_high": resident_high,
+        "records_per_s": _ratio(exporter.seq, elapsed),
+        "resident_high": exporter.resident_high,
         "flush_every": exporter.flush_every,
     }
 
 
-def _farm_mode(source: str, n: int, sim_us: int,
-               observe: bool) -> tuple[dict, dict]:
-    """Spawn + drive one farm; returns (timings, fleet snapshot)."""
+def _farm_drive(source: str, n: int, sim_us: int,
+                observe: bool) -> tuple[float, tuple[dict, dict]]:
+    """Spawn + drive one farm: ``(drive seconds, (timings, fleet
+    snapshot))``."""
     from .runtime.farm import Farm
 
-    start = time.perf_counter()
-    farm = Farm(source, n=n, program="blink", observe=observe)
-    spawn_s = time.perf_counter() - start
-    start = time.perf_counter()
-    farm.run_until(sim_us)
-    drive_s = time.perf_counter() - start
+    spawn_s, farm = _timed(Farm, source, n=n, program="blink",
+                           observe=observe)
+    drive_s, _ = _timed(farm.run_until, sim_us)
     reactions = sum(inst.program.sched.reaction_count
                     for inst in farm.instances)
     timings = {
         "spawn_s": spawn_s,
         "drive_s": drive_s,
-        "instances_per_s": n / spawn_s if spawn_s else 0.0,
+        "instances_per_s": _ratio(n, spawn_s),
         "reactions": reactions,
-        "events_per_s": reactions / drive_s if drive_s else 0.0,
+        "events_per_s": _ratio(reactions, drive_s),
     }
-    return timings, farm.fleet_snapshot()
+    return drive_s, (timings, farm.fleet_snapshot())
 
 
 def _farm_resident(source: str, n: int, observe: bool) -> float:
     """Heap bytes per instance (tracemalloc delta over ``n`` spawns,
     timers armed so the steady-state structures exist)."""
-    import gc
     import tracemalloc
 
     from .runtime.farm import Farm
@@ -251,60 +341,49 @@ def _farm_resident(source: str, n: int, observe: bool) -> float:
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return (current - base) / n if n else 0.0
+    return _ratio(current - base, n)
 
 
-def bench_farm(n_instances: Optional[int] = None,
-               sim_us: Optional[int] = None) -> dict:
+def bench_farm(repeats: int = 3) -> dict:
     """The reactor-farm section: spawn/drive throughput with telemetry
     attached vs detached, cross-instance latency percentiles, and
     resident bytes per instance beside the static-bounds prediction."""
-    from .apps import load
-
-    if n_instances is None:
-        n_instances = FARM_INSTANCES   # late-bound so tests can shrink it
-    if sim_us is None:
-        sim_us = FARM_SIM_US
-    source = load("blink")
-    attached, fleet = _farm_mode(source, n_instances, sim_us, True)
-    detached, _ = _farm_mode(source, n_instances, sim_us, False)
-    latency = fleet["merged"]["histograms"].get("reaction_latency_us", {})
-    mem_sample = min(FARM_MEM_SAMPLE, n_instances)
-    resident = {
-        "sample_instances": mem_sample,
-        "attached_bytes": _farm_resident(source, mem_sample, True),
-        "detached_bytes": _farm_resident(source, mem_sample, False),
-    }
     from .analysis import compute_bounds
+    from .apps import load
     from .dfa import build_dfa
     from .lang import parse
     from .sema import bind
 
+    n, sim_us = FARM_INSTANCES, FARM_SIM_US
+    source = load("blink")
+    best = interleave({mode: partial(_farm_drive, source, n, sim_us,
+                                     mode == "attached")
+                       for mode in FARM_MODES}, repeats)
+    attached, fleet = best["attached"][1]
+    detached, _ = best["detached"][1]
+    latency = fleet["merged"]["histograms"].get("reaction_latency_us", {})
+    mem_sample = min(FARM_MEM_SAMPLE, n)
     bound = bind(parse(source, "blink.ceu"))
-    bounds = compute_bounds(bound, build_dfa(bound))
     return {
-        "workload": {"program": "blink", "instances": n_instances,
-                     "sim_us": sim_us},
+        "workload": {"program": "blink", "instances": n, "sim_us": sim_us},
         "attached": attached,
         "detached": detached,
         "overhead": {
             "attached_vs_detached_spawn":
-                attached["spawn_s"] / detached["spawn_s"]
-                if detached["spawn_s"] else 0.0,
+                _ratio(attached["spawn_s"], detached["spawn_s"]),
             "attached_vs_detached_drive":
-                attached["drive_s"] / detached["drive_s"]
-                if detached["drive_s"] else 0.0,
+                _ratio(attached["drive_s"], detached["drive_s"]),
         },
         "latency_us": {k: latency.get(k)
                        for k in ("p50", "p95", "p99", "mean", "max")},
-        "resident_bytes_per_instance": resident,
-        "bounds": bounds.as_dict(),
+        "resident_bytes_per_instance": {
+            "sample_instances": mem_sample,
+            "attached_bytes": _farm_resident(source, mem_sample, True),
+            "detached_bytes": _farm_resident(source, mem_sample, False),
+        },
+        "bounds": compute_bounds(bound, build_dfa(bound)).as_dict(),
         "counters": fleet["merged"]["counters"],
     }
-
-
-SERVE_INSTANCES = 2_000
-SERVE_SIM_US = 1_000_000
 
 
 def _serve_drive(source: str, n: int, sim_us: int,
@@ -312,41 +391,35 @@ def _serve_drive(source: str, n: int, sim_us: int,
     """Time one detached-farm drive with the admin server absent
     (``noserver``), attached but idle (``idle``), or attached and
     scraped from a background thread (``scraped``)."""
-    import urllib.request
+    import threading
 
     from .obs import AdminServer
     from .runtime.farm import Farm
 
     farm = Farm(source, n=n, program="blink", observe=False)
     server = None
-    stop = None
+    stop = threading.Event()
     scraper = None
     if mode != "noserver":
         server = AdminServer(farm.fleet_snapshot,
                              health_fn=farm.watchdog).start()
     if mode == "scraped":
-        import threading
-
-        stop = threading.Event()
         url = server.address + "/metrics"
 
         def hammer() -> None:
             while not stop.is_set():
                 try:
-                    with urllib.request.urlopen(url, timeout=2) as resp:
-                        resp.read()
+                    _fetch(url, timeout=2)
                 except OSError:
                     pass
 
         scraper = threading.Thread(target=hammer, daemon=True)
         scraper.start()
     try:
-        start = time.perf_counter()
-        farm.run_until(sim_us)
-        elapsed = time.perf_counter() - start
+        elapsed, _ = _timed(farm.run_until, sim_us)
     finally:
-        if stop is not None:
-            stop.set()
+        stop.set()
+        if scraper is not None:
             scraper.join(timeout=2)
         if server is not None:
             server.close()
@@ -355,96 +428,61 @@ def _serve_drive(source: str, n: int, sim_us: int,
     return elapsed, reactions
 
 
-def bench_serve(n_instances: Optional[int] = None,
-                sim_us: Optional[int] = None, repeats: int = 3) -> dict:
-    """The serving-path overhead section (``bench --serve``).
-
-    Interleaved best-of-``repeats`` drives of a *detached* farm (no
-    per-instance metrics — the worst case for relative overhead, since
-    the baseline is as fast as the farm gets) in the three modes, plus
-    one measured scrape of ``/metrics`` and ``/snapshot``.  The
-    ``idle_vs_noserver`` ratio is gated at :data:`SERVE_BUDGET`."""
-    import json as _json
+def _fetch(url: str, timeout: float = 5) -> bytes:
     import urllib.request
 
+    with urllib.request.urlopen(url, timeout=timeout) as resp:
+        return resp.read()
+
+
+def bench_serve(repeats: int = 3) -> dict:
+    """The serving-path overhead section: drives of a *detached* farm (no
+    per-instance metrics — the worst case for relative overhead, since
+    the baseline is as fast as the farm gets) in the three modes, plus
+    one measured scrape of each endpoint."""
     from .apps import load
     from .obs import AdminServer
     from .runtime.farm import Farm
 
-    if n_instances is None:
-        n_instances = SERVE_INSTANCES  # late-bound so tests can shrink it
-    if sim_us is None:
-        sim_us = SERVE_SIM_US
+    n, sim_us = SERVE_INSTANCES, SERVE_SIM_US
     source = load("blink")
-    best = {"noserver": float("inf"), "idle": float("inf"),
-            "scraped": float("inf")}
-    reactions = 0
-    for _ in range(repeats):
-        for mode in best:
-            elapsed, reactions = _serve_drive(source, n_instances,
-                                              sim_us, mode)
-            best[mode] = min(best[mode], elapsed)
+    best = interleave({mode: partial(_serve_drive, source, n, sim_us, mode)
+                       for mode in SERVE_MODES}, repeats)
+    drive_s = {mode: secs for mode, (secs, _) in best.items()}
+    reactions = best["noserver"][1]
 
     # one served farm, scraped once per endpoint, for latency/size
-    farm = Farm(source, n=n_instances, program="blink", observe=False)
+    farm = Farm(source, n=n, program="blink", observe=False)
     farm.run_until(sim_us)
     server = AdminServer(farm.fleet_snapshot,
                          health_fn=farm.watchdog).start()
     endpoints = {}
     try:
         for path in ("/metrics", "/healthz", "/snapshot"):
-            start = time.perf_counter()
-            with urllib.request.urlopen(server.address + path,
-                                        timeout=5) as resp:
-                body = resp.read()
-            endpoints[path] = {
-                "latency_ms": (time.perf_counter() - start) * 1e3,
-                "bytes": len(body),
-            }
-        snap = _json.loads(
-            urllib.request.urlopen(server.address + "/snapshot",
-                                   timeout=5).read())
+            latency_s, body = _timed(_fetch, server.address + path)
+            endpoints[path] = {"latency_ms": latency_s * 1e3,
+                               "bytes": len(body)}
+        snap = json.loads(body)        # the /snapshot body
     finally:
         server.close()
-    idle_ratio = best["idle"] / best["noserver"] \
-        if best["noserver"] else 0.0
-    scraped_ratio = best["scraped"] / best["noserver"] \
-        if best["noserver"] else 0.0
-    return {
-        "workload": {"program": "blink", "instances": n_instances,
-                     "sim_us": sim_us, "repeats": repeats,
-                     "detached": True},
-        "drive_s": best,
+    data = {
+        "workload": {"program": "blink", "instances": n, "sim_us": sim_us,
+                     "repeats": repeats, "detached": True},
+        "drive_s": drive_s,
         "reactions": reactions,
-        "events_per_s": {mode: reactions / secs if secs else 0.0
-                         for mode, secs in best.items()},
+        "events_per_s": {mode: _ratio(reactions, secs)
+                         for mode, secs in drive_s.items()},
         "overhead": {
-            "idle_vs_noserver": idle_ratio,
-            "scraped_vs_noserver": scraped_ratio,
+            "idle_vs_noserver": _ratio(drive_s["idle"], drive_s["noserver"]),
+            "scraped_vs_noserver":
+                _ratio(drive_s["scraped"], drive_s["noserver"]),
         },
-        "budget": {"idle_vs_noserver_max": SERVE_BUDGET,
-                   "within_budget": idle_ratio <= SERVE_BUDGET},
         "endpoints": endpoints,
         "snapshot_counters": snap.get("merged", {}).get("counters", {}),
     }
-
-
-CKPT_INSTANCES = 200
-#: long enough that steady-state reaction work dominates the fixed
-#: per-instance spawn cost both sides pay — the regime warm starts are
-#: for (short horizons under-report the speedup)
-CKPT_SIM_US = 5_000_000
-
-
-def _ckpt_drive(source: str, n: int, sim_us: int, record: bool) -> float:
-    """One detached-farm drive with journal recording on or off."""
-    from .runtime.farm import Farm
-
-    farm = Farm(source, n=n, program="blink", observe=False,
-                record=record)
-    start = time.perf_counter()
-    farm.run_until(sim_us)
-    return time.perf_counter() - start
+    data["budget"] = {"idle_vs_noserver_max": SERVE_BUDGET,
+                      "within_budget": _within(data, SERVE_GATES)}
+    return data
 
 
 def _instrumented_farm(source: str, tmp: Path, tag: str):
@@ -459,25 +497,18 @@ def _instrumented_farm(source: str, tmp: Path, tag: str):
     return farm
 
 
-def bench_checkpoint(n_instances: Optional[int] = None,
-                     sim_us: Optional[int] = None,
-                     repeats: int = 3) -> dict:
-    """The checkpoint-plane section (``bench --checkpoint``).
+def bench_checkpoint(repeats: int = 3) -> dict:
+    """The checkpoint-plane section, one interleaved run of six modes:
 
-    Three measurements:
-
-    * **journal-recording overhead** — interleaved best-of-``repeats``
-      detached-farm drives with ``record=True`` vs ``record=False``;
-      the ratio is gated at :data:`CHECKPOINT_BUDGET` (keeping every
-      instance checkpointable must be near-free on the reaction path);
-    * **capture/restore cost** — best-of-``repeats`` ``snapshot()`` and
-      ``restore()`` round trips on one driven instance, plus the
-      serialized size (recorded, not gated);
-    * **warm-start speedup** — time to stand up ``n`` fully-telemetered
-      instances at a target state, cold (boot + drive with metrics and
-      the JSONL tap attached) vs warm (``Farm.spawn(warm_from=ckpt)``:
-      detached journal replay, telemetry attached after); gated at
-      >= :data:`WARM_SPEEDUP_MIN`.
+    * ``norecord`` / ``record`` — detached-farm drives without and with
+      journal recording (keeping every instance checkpointable must be
+      near-free on the reaction path);
+    * ``snapshot`` / ``restore`` — capture and restore of one driven
+      instance, plus the serialized size (recorded, not gated);
+    * ``cold`` / ``warm`` — standing up ``n`` fully-telemetered instances
+      at a target state: boot + drive with metrics and the JSONL tap
+      attached, vs ``Farm.spawn(warm_from=ckpt)`` (detached journal
+      replay, telemetry attached after).
     """
     import tempfile
 
@@ -486,88 +517,70 @@ def bench_checkpoint(n_instances: Optional[int] = None,
     from .runtime.checkpoint import restore
     from .runtime.farm import Farm, _StubCEnv
 
-    if n_instances is None:
-        n_instances = CKPT_INSTANCES   # late-bound so tests can shrink it
-    if sim_us is None:
-        sim_us = CKPT_SIM_US
+    n, sim_us = CKPT_INSTANCES, CKPT_SIM_US
     source = load("blink")
-
-    # 1) journal-recording overhead on the farm drive loop (gated)
-    best = {"norecord": float("inf"), "record": float("inf")}
-    for _ in range(repeats):
-        best["norecord"] = min(best["norecord"],
-                               _ckpt_drive(source, n_instances, sim_us,
-                                           False))
-        best["record"] = min(best["record"],
-                             _ckpt_drive(source, n_instances, sim_us,
-                                         True))
-    record_ratio = best["record"] / best["norecord"] \
-        if best["norecord"] else 0.0
-
-    # 2) capture + restore cost and size on one driven instance
     seed = Farm(source, n=1, program="blink", observe=False, record=True)
     seed.run_until(sim_us)
-    snapshot_s = restore_s = float("inf")
-    ck = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        ck = seed.checkpoint(0)
-        snapshot_s = min(snapshot_s, time.perf_counter() - start)
+    ck = seed.checkpoint(0)
     # blink calls platform C stubs — restore needs the same auto-stubbing
     # environment the farm gives its instances
     stub_calls = FleetRegistry().counter_family(
         "bench_c_calls_total", ("symbol",))
-    for _ in range(repeats):
-        cenv = _StubCEnv(stub_calls)
-        start = time.perf_counter()
-        restore(ck, cenv=cenv)
-        restore_s = min(restore_s, time.perf_counter() - start)
 
-    # 3) warm-start vs cold instrumented boot to the same state (gated)
+    def drive(record: bool) -> tuple[float, None]:
+        farm = Farm(source, n=n, program="blink", observe=False,
+                    record=record)
+        return _timed(farm.run_until, sim_us)[0], None
+
+    def restore_one() -> tuple[float, None]:
+        cenv = _StubCEnv(stub_calls)
+        return _timed(restore, ck, cenv=cenv)[0], None
+
+    def boot(tag: str) -> tuple[float, None]:
+        farm = _instrumented_farm(source, Path(tmp), tag)
+        if tag == "cold":
+            secs, _ = _timed(lambda: (farm.spawn(n, program="blink"),
+                                      farm.run_until(sim_us)))
+        else:
+            secs, _ = _timed(farm.spawn, n, program="blink", warm_from=ck)
+        farm.close()
+        return secs, None
+
     with tempfile.TemporaryDirectory(prefix="repro-bench-ckpt-") as tmp:
-        cold_s = float("inf")
-        for r in range(repeats):
-            farm = _instrumented_farm(source, Path(tmp), f"cold{r}")
-            start = time.perf_counter()
-            farm.spawn(n_instances, program="blink")
-            farm.run_until(sim_us)
-            cold_s = min(cold_s, time.perf_counter() - start)
-            farm.close()
-        warm_s = float("inf")
-        for r in range(repeats):
-            farm = _instrumented_farm(source, Path(tmp), f"warm{r}")
-            start = time.perf_counter()
-            farm.spawn(n_instances, program="blink", warm_from=ck)
-            warm_s = min(warm_s, time.perf_counter() - start)
-            farm.close()
-    warm_speedup = cold_s / warm_s if warm_s else 0.0
-    within = (record_ratio <= CHECKPOINT_BUDGET
-              and warm_speedup >= WARM_SPEEDUP_MIN)
-    return {
-        "workload": {"program": "blink", "instances": n_instances,
-                     "sim_us": sim_us, "repeats": repeats},
-        "drive_s": best,
-        "overhead": {"record_vs_norecord": record_ratio},
+        best = interleave({
+            "norecord": partial(drive, False),
+            "record": partial(drive, True),
+            "snapshot": partial(_timed, seed.checkpoint, 0),
+            "restore": restore_one,
+            "cold": partial(boot, "cold"),
+            "warm": partial(boot, "warm"),
+        }, repeats)
+    secs = {mode: s for mode, (s, _) in best.items()}
+    data = {
+        "workload": {"program": "blink", "instances": n, "sim_us": sim_us,
+                     "repeats": repeats},
+        "drive_s": {"norecord": secs["norecord"], "record": secs["record"]},
+        "overhead": {"record_vs_norecord":
+                     _ratio(secs["record"], secs["norecord"])},
         "capture": {
-            "snapshot_s": snapshot_s,
-            "restore_s": restore_s,
+            "snapshot_s": secs["snapshot"],
+            "restore_s": secs["restore"],
             "bytes": len(ck.to_bytes()),
             "journal_entries": len(ck.journal),
             "reactions": ck.reaction_count,
         },
         "warm_start": {
-            "cold_boot_s": cold_s,
-            "warm_s": warm_s,
-            "speedup": warm_speedup,
-            "cold_per_instance_ms": cold_s / n_instances * 1e3,
-            "warm_per_instance_ms": warm_s / n_instances * 1e3,
-        },
-        "budget": {
-            "record_vs_norecord_max": CHECKPOINT_BUDGET,
-            "warm_speedup_min": WARM_SPEEDUP_MIN,
-            "within_budget": within,
+            "cold_boot_s": secs["cold"],
+            "warm_s": secs["warm"],
+            "speedup": _ratio(secs["cold"], secs["warm"]),
+            "cold_per_instance_ms": secs["cold"] / n * 1e3,
+            "warm_per_instance_ms": secs["warm"] / n * 1e3,
         },
     }
+    data["budget"] = {"record_vs_norecord_max": CHECKPOINT_BUDGET,
+                      "warm_speedup_min": WARM_SPEEDUP_MIN,
+                      "within_budget": _within(data, CHECKPOINT_GATES)}
+    return data
 
 
 def _analysis_corpus() -> list[Path]:
@@ -597,63 +610,60 @@ def _literal_edit(source: str) -> Optional[str]:
     return None
 
 
+def _reanalyze(analyzer, source: str, edited: str) -> tuple[float, Any]:
+    analyzer.analyze(source)           # untimed: back to the unedited text
+    return _timed(analyzer.analyze, edited)
+
+
+def _geomean(values: list[float]) -> float:
+    import math
+
+    values = [v for v in values if v > 0]
+    if not values:
+        return 0.0
+    return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
 def bench_analysis(repeats: int = 3) -> dict:
     """Incremental-vs-cold lint latency over examples + corpus.
 
-    For each file, times a cold ``run_analysis`` and the
+    For each file, interleaves a cold ``run_analysis`` with the
     :class:`~repro.analysis.IncrementalAnalyzer` re-analysis of two
     single-region edit kinds — a comment insertion (token stream
-    unchanged: full DFA replay) and an integer-literal bump (masked
-    token stream unchanged: DFA replay unless the file has conflicts).
-    Every incremental report is verified byte-identical to the cold run
-    of the same text.  Recorded, never gated — absolute times measure
-    the machine; the per-file speedups and the identical flags are the
-    trajectory."""
+    unchanged: full DFA replay) and an integer-literal bump (masked token
+    stream unchanged: DFA replay unless the file has conflicts).  Every
+    incremental report is compared with the cold run of the same text;
+    ``summary.all_identical`` is gated, the times are recorded."""
     from .analysis import IncrementalAnalyzer, run_analysis
 
     per_file = []
-    identical = True
+    all_identical = True
     for path in _analysis_corpus():
         source = path.read_text()
         name = str(path.relative_to(path.parents[2]))
-        cold_s = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run_analysis(source, name)
-            cold_s = min(cold_s, time.perf_counter() - start)
-        entry = {"file": name, "cold_s": cold_s}
         edits = {"comment": _comment_edit(source)}
         literal = _literal_edit(source)
         if literal is not None and literal != source:
             edits["literal"] = literal
         analyzer = IncrementalAnalyzer(filename=name)
-        analyzer.analyze(source)
+        identical = {}
+        modes = {"cold": partial(_timed, run_analysis, source, name)}
         for kind, edited in edits.items():
-            ok = (analyzer.analyze(edited).to_json()
-                  == run_analysis(edited, name).to_json())
-            analyzer.analyze(source)   # prime back to the unedited text
-            inc_s = float("inf")
-            for r in range(repeats):
-                start = time.perf_counter()
-                analyzer.analyze(edited)
-                inc_s = min(inc_s, time.perf_counter() - start)
-                analyzer.analyze(source)
-            identical = identical and ok
-            entry[kind] = {
-                "incremental_s": inc_s,
-                "speedup": cold_s / inc_s if inc_s else 0.0,
-                "identical": ok,
-            }
+            analyzer.analyze(source)
+            identical[kind] = (analyzer.analyze(edited).to_json()
+                               == run_analysis(edited, name).to_json())
+            modes[kind] = partial(_reanalyze, analyzer, source, edited)
+        all_identical = all_identical and all(identical.values())
+        best = interleave(modes, repeats)
+        cold_s = best["cold"][0]
+        entry = {"file": name, "cold_s": cold_s}
+        for kind in edits:
+            inc_s = best[kind][0]
+            entry[kind] = {"incremental_s": inc_s,
+                           "speedup": _ratio(cold_s, inc_s),
+                           "identical": identical[kind]}
         entry["stats"] = dict(analyzer.stats)
         per_file.append(entry)
-
-    def _geomean(values: list[float]) -> float:
-        import math
-
-        values = [v for v in values if v > 0]
-        if not values:
-            return 0.0
-        return math.exp(sum(math.log(v) for v in values) / len(values))
 
     comment_speedups = [e["comment"]["speedup"] for e in per_file]
     return {
@@ -665,219 +675,167 @@ def bench_analysis(repeats: int = 3) -> dict:
             "literal_speedup_geomean": _geomean(
                 [e["literal"]["speedup"] for e in per_file
                  if "literal" in e]),
-            "all_identical": identical,
+            "all_identical": all_identical,
         },
     }
 
 
-def snapshot(repeats: int = 3, farm: bool = False,
-             analysis: bool = False, serve: bool = False,
-             checkpoint: bool = False) -> dict:
-    """The full ``repro bench`` measurement (pure data, JSON-ready)."""
-    import tempfile
+SERVE_GATES = (Gate("overhead.idle_vs_noserver", "max", SERVE_BUDGET),)
+CHECKPOINT_GATES = (
+    Gate("overhead.record_vs_norecord", "max", CHECKPOINT_BUDGET),
+    Gate("warm_start.speedup", "min", WARM_SPEEDUP_MIN),
+)
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        stream = bench_stream(Path(tmp))
-    snap = {
-        "schema": SCHEMA,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "vm": bench_vm(repeats),
-        "stream": stream,
-    }
-    if farm:
-        snap["farm"] = bench_farm()
-    if analysis:
-        snap["analysis"] = bench_analysis(repeats)
-    if serve:
-        snap["serve"] = bench_serve(repeats=repeats)
-    if checkpoint:
-        snap["checkpoint"] = bench_checkpoint(repeats=repeats)
+
+class Section(NamedTuple):
+    """One ``repro bench`` measurement: ``measure(repeats)`` returns the
+    section's record; ``file`` (if any) is written beside the snapshot;
+    ``summary(record)`` is the one line printed for it."""
+
+    name: str
+    measure: Callable[[int], dict]
+    file: Optional[str]
+    summary: Callable[[dict], str]
+    gates: tuple[Gate, ...]
+
+
+SECTIONS = (
+    Section(
+        "vm", bench_vm, None,
+        lambda d: f"{d['reactions_per_s']:.0f} reactions/s off; ratios "
+        + ", ".join(f"{k}={d['ratios'][k]:.2f}" for k in RATIO_KEYS),
+        (Gate("counters", "exact"),
+         *(Gate(f"ratios.{key}", "tolerance") for key in RATIO_KEYS),
+         # a detached bus must stay indistinguishable from one that
+         # never had subscribers, whatever the baseline's ratio
+         Gate("ratios.detached_vs_off", "max", 1.5, baseline_only=True))),
+    Section(
+        "stream", lambda _repeats: bench_stream(), None,
+        lambda d: f"{d['records_per_s']:.0f} records/s, resident high "
+        f"{d['resident_high']}",
+        (Gate("resident_high", "max", "flush_every"),)),
+    Section(
+        "farm", bench_farm, "BENCH_farm.json",
+        lambda d: f"{d['workload']['instances']} instances, "
+        f"{d['attached']['instances_per_s']:.0f} spawns/s, "
+        f"{d['attached']['events_per_s']:.0f} reactions/s attached, "
+        f"p99 {d['latency_us']['p99']} us, "
+        f"{d['resident_bytes_per_instance']['attached_bytes']:.0f} "
+        f"B/instance (drive overhead "
+        f"{d['overhead']['attached_vs_detached_drive']:.2f}x)",
+        ()),
+    Section(
+        "analysis", bench_analysis, "BENCH_analysis.json",
+        lambda d: f"{d['workload']['files']} files, comment-edit speedup "
+        f"geomean {d['summary']['comment_speedup_geomean']:.1f}x "
+        f"(min {d['summary']['comment_speedup_min']:.1f}x), literal-edit "
+        f"geomean {d['summary']['literal_speedup_geomean']:.1f}x, "
+        f"identical={d['summary']['all_identical']}",
+        (Gate("summary.all_identical", "equal", True),)),
+    Section(
+        "serve", bench_serve, "BENCH_serve.json",
+        lambda d: f"{d['workload']['instances']} instances, "
+        f"{d['events_per_s']['noserver']:.0f} reactions/s detached; "
+        f"overhead idle {d['overhead']['idle_vs_noserver']:.3f}x, scraped "
+        f"{d['overhead']['scraped_vs_noserver']:.3f}x "
+        f"(budget {SERVE_BUDGET:.2f}x)",
+        SERVE_GATES),
+    Section(
+        "checkpoint", bench_checkpoint, "BENCH_checkpoint.json",
+        lambda d: f"{d['workload']['instances']} instances; recording "
+        f"overhead {d['overhead']['record_vs_norecord']:.3f}x (budget "
+        f"{CHECKPOINT_BUDGET:.2f}x); snapshot "
+        f"{d['capture']['snapshot_s'] * 1e3:.2f}ms / restore "
+        f"{d['capture']['restore_s'] * 1e3:.2f}ms / "
+        f"{d['capture']['bytes']} B; warm start "
+        f"{d['warm_start']['warm_per_instance_ms']:.3f}ms/inst vs cold "
+        f"{d['warm_start']['cold_per_instance_ms']:.3f}ms/inst = "
+        f"{d['warm_start']['speedup']:.1f}x "
+        f"(floor {WARM_SPEEDUP_MIN:.0f}x)",
+        CHECKPOINT_GATES),
+)
+
+
+def snapshot(repeats: int = 3, names: tuple[str, ...] = CORE) -> dict:
+    """The named sections' measurements (pure data, JSON-ready)."""
+    snap = {"schema": SCHEMA, "python": platform.python_version(),
+            "machine": platform.machine()}
+    for section in SECTIONS:
+        if section.name in names:
+            snap[section.name] = section.measure(repeats)
     return snap
 
 
-def stamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-
-
-def write_snapshot(snap: dict, out_dir: Path) -> Path:
-    out = Path(out_dir) / f"BENCH_{stamp()}.json"
-    out.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-def check_regression(snap: dict, baseline: dict,
-                     tolerance: float = 0.5) -> list[str]:
-    """Compare a snapshot against the committed baseline.
-
-    Returns a list of human-readable violations (empty = gate passes):
-
-    * every deterministic counter must match the baseline exactly — the
-      same workload must do the same work, on any machine;
-    * each instrumentation-overhead ratio must stay within
-      ``tolerance`` (relative) of the baseline ratio, and the detached
-      ratio additionally below an absolute cap — a detached bus must
-      stay indistinguishable from one that never had subscribers.
-    """
-    problems: list[str] = []
-    base_counters = baseline.get("vm", {}).get("counters", {})
-    counters = snap.get("vm", {}).get("counters", {})
-    for key, expect in sorted(base_counters.items()):
-        got = counters.get(key)
-        if got != expect:
-            problems.append(f"counter {key}: expected {expect}, got {got}")
-    base_ratios = baseline.get("vm", {}).get("ratios", {})
-    ratios = snap.get("vm", {}).get("ratios", {})
-    for key in RATIO_KEYS:
-        expect = base_ratios.get(key)
-        got = ratios.get(key)
-        if expect is None or got is None:
-            problems.append(f"ratio {key}: missing "
-                            f"(baseline={expect}, snapshot={got})")
+def check(snap: dict, baseline: Optional[dict] = None,
+          tolerance: float = 0.5) -> list[str]:
+    """Every violation of every gate row of every section in ``snap``
+    (empty = the gate passes).  Without a ``baseline`` only the absolute
+    rows run."""
+    problems = []
+    for section in SECTIONS:
+        if section.name not in snap:
             continue
-        if got > expect * (1.0 + tolerance):
-            problems.append(f"ratio {key}: {got:.2f} exceeds baseline "
-                            f"{expect:.2f} by more than {tolerance:.0%}")
-    got = ratios.get("detached_vs_off")
-    if got is not None and got > 1.5:
-        problems.append(f"ratio detached_vs_off: {got:.2f} > 1.5 — the "
-                        f"unsubscribed bus is no longer a no-op")
-    base_resident = baseline.get("stream", {}).get("resident_high")
-    resident = snap.get("stream", {}).get("resident_high")
-    flush = snap.get("stream", {}).get("flush_every")
-    if (base_resident is not None and resident is not None
-            and flush and resident > flush):
-        problems.append(f"stream resident_high {resident} exceeds "
-                        f"flush_every {flush}: streaming is buffering")
+        base = None if baseline is None else baseline.get(section.name, {})
+        problems += [f"{section.name}.{problem}" for gate in section.gates
+                     for problem in gate.check(snap[section.name], base,
+                                               tolerance)]
     return problems
 
 
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def write_snapshot(snap: dict, out_dir: Path) -> Path:
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+    out = Path(out_dir) / f"BENCH_{stamp}.json"
+    _write_json(out, snap)
+    return out
+
+
 def main(args) -> int:
-    """``repro bench`` entry point (wired up in :mod:`repro.cli`)."""
+    """``repro bench`` entry point (wired up in :mod:`repro.cli`): measure,
+    write and print every selected section, then run every gate and fail
+    once if any row failed."""
     import sys
 
-    with_farm = getattr(args, "farm", False)
-    with_analysis = getattr(args, "analysis", False)
-    with_serve = getattr(args, "serve", False)
-    with_checkpoint = getattr(args, "checkpoint", False)
-    snap = snapshot(repeats=args.repeats, farm=with_farm,
-                    analysis=with_analysis, serve=with_serve,
-                    checkpoint=with_checkpoint)
     out_dir = Path(args.out) if args.out else BENCH_DIR
     out_dir.mkdir(parents=True, exist_ok=True)
-    out = write_snapshot(snap, out_dir)
-    vm = snap["vm"]
-    print(f"wrote {out}")
-    print(f"vm: {vm['reactions_per_s']:.0f} reactions/s off; ratios "
-          + ", ".join(f"{k}={vm['ratios'][k]:.2f}" for k in RATIO_KEYS))
-    print(f"stream: {snap['stream']['records_per_s']:.0f} records/s, "
-          f"resident high {snap['stream']['resident_high']}")
-    if with_farm:
-        farm = snap["farm"]
-        farm_path = out_dir / FARM_PATH.name if args.out else FARM_PATH
-        farm_path.write_text(
-            json.dumps(farm, indent=2, sort_keys=True) + "\n")
-        att = farm["attached"]
-        print(f"wrote {farm_path}")
-        print(f"farm: {farm['workload']['instances']} instances, "
-              f"{att['instances_per_s']:.0f} spawns/s, "
-              f"{att['events_per_s']:.0f} reactions/s attached, "
-              f"p99 {farm['latency_us']['p99']} us, "
-              f"{farm['resident_bytes_per_instance']['attached_bytes']:.0f}"
-              f" B/instance "
-              f"(drive overhead "
-              f"{farm['overhead']['attached_vs_detached_drive']:.2f}x)")
-    if with_analysis:
-        analysis = snap["analysis"]
-        analysis_path = out_dir / ANALYSIS_PATH.name if args.out \
-            else ANALYSIS_PATH
-        analysis_path.write_text(
-            json.dumps(analysis, indent=2, sort_keys=True) + "\n")
-        summary = analysis["summary"]
-        print(f"wrote {analysis_path}")
-        print(f"analysis: {analysis['workload']['files']} files, "
-              f"comment-edit speedup geomean "
-              f"{summary['comment_speedup_geomean']:.1f}x "
-              f"(min {summary['comment_speedup_min']:.1f}x), "
-              f"literal-edit geomean "
-              f"{summary['literal_speedup_geomean']:.1f}x, "
-              f"identical={summary['all_identical']}")
-    if with_serve:
-        serve = snap["serve"]
-        serve_path = out_dir / SERVE_PATH.name if args.out else SERVE_PATH
-        serve_path.write_text(
-            json.dumps(serve, indent=2, sort_keys=True) + "\n")
-        over = serve["overhead"]
-        print(f"wrote {serve_path}")
-        print(f"serve: {serve['workload']['instances']} instances, "
-              f"{serve['events_per_s']['noserver']:.0f} "
-              f"reactions/s detached; overhead idle "
-              f"{over['idle_vs_noserver']:.3f}x, scraped "
-              f"{over['scraped_vs_noserver']:.3f}x "
-              f"(budget {serve['budget']['idle_vs_noserver_max']:.2f}x)")
-        if not serve["budget"]["within_budget"]:
-            print(f"REGRESSION serve: idle overhead "
-                  f"{over['idle_vs_noserver']:.3f}x exceeds "
-                  f"{serve['budget']['idle_vs_noserver_max']:.2f}x budget",
-                  file=sys.stderr)
-            return 1
-    if with_checkpoint:
-        ckpt = snap["checkpoint"]
-        ckpt_path = out_dir / CHECKPOINT_PATH.name if args.out \
-            else CHECKPOINT_PATH
-        ckpt_path.write_text(
-            json.dumps(ckpt, indent=2, sort_keys=True) + "\n")
-        cap = ckpt["capture"]
-        warm = ckpt["warm_start"]
-        ratio = ckpt["overhead"]["record_vs_norecord"]
-        print(f"wrote {ckpt_path}")
-        print(f"checkpoint: {ckpt['workload']['instances']} instances; "
-              f"recording overhead {ratio:.3f}x "
-              f"(budget {ckpt['budget']['record_vs_norecord_max']:.2f}x); "
-              f"snapshot {cap['snapshot_s'] * 1e3:.2f}ms / "
-              f"restore {cap['restore_s'] * 1e3:.2f}ms / "
-              f"{cap['bytes']} B; warm start "
-              f"{warm['warm_per_instance_ms']:.3f}ms/inst vs cold "
-              f"{warm['cold_per_instance_ms']:.3f}ms/inst "
-              f"= {warm['speedup']:.1f}x "
-              f"(floor {ckpt['budget']['warm_speedup_min']:.0f}x)")
-        if ratio > ckpt["budget"]["record_vs_norecord_max"]:
-            print(f"REGRESSION checkpoint: recording overhead "
-                  f"{ratio:.3f}x exceeds "
-                  f"{ckpt['budget']['record_vs_norecord_max']:.2f}x "
-                  f"budget", file=sys.stderr)
-            return 1
-        if warm["speedup"] < ckpt["budget"]["warm_speedup_min"]:
-            print(f"REGRESSION checkpoint: warm-start speedup "
-                  f"{warm['speedup']:.1f}x below "
-                  f"{ckpt['budget']['warm_speedup_min']:.0f}x floor",
-                  file=sys.stderr)
-            return 1
+    snap = snapshot(args.repeats, CORE + tuple(
+        section.name for section in SECTIONS
+        if getattr(args, section.name, False)))
+    for section in SECTIONS:
+        if section.name not in snap:
+            continue
+        if section.file:
+            _write_json(out_dir / section.file, snap[section.name])
+            print(f"wrote {out_dir / section.file}")
+        print(f"{section.name}: {section.summary(snap[section.name])}")
+    print(f"wrote {write_snapshot(snap, out_dir)}")
     baseline_path = Path(args.baseline) if args.baseline \
         else BASELINE_PATH
+    baseline = None
+    failed = False
     if args.update_baseline:
-        baseline_path.write_text(
-            json.dumps(snap, indent=2, sort_keys=True) + "\n")
+        _write_json(baseline_path, snap)
         print(f"updated baseline {baseline_path}")
-        return 0
-    if args.check:
-        if not baseline_path.exists():
+    elif args.check:
+        if baseline_path.exists():
+            baseline = json.loads(baseline_path.read_text())
+        else:
             print(f"no baseline at {baseline_path} — run with "
                   f"--update-baseline first", file=sys.stderr)
-            return 1
-        baseline = json.loads(baseline_path.read_text())
-        problems = check_regression(snap, baseline,
-                                    tolerance=args.tolerance)
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION {problem}", file=sys.stderr)
-            return 1
+            failed = True
+    problems = check(snap, baseline, args.tolerance)
+    for problem in problems:
+        print(f"REGRESSION {problem}", file=sys.stderr)
+    if baseline is not None and not problems:
         print(f"regression gate passed (baseline {baseline_path.name}, "
               f"tolerance {args.tolerance:.0%})")
-    return 0
+    return 1 if failed or problems else 0
 
 
-__all__ = ["SCHEMA", "bench_vm", "bench_stream", "bench_farm",
-           "bench_analysis", "bench_serve", "bench_checkpoint",
-           "snapshot", "write_snapshot", "check_regression",
-           "make_fanout"]
+__all__ = ["SCHEMA", "SECTIONS", "Section", "Gate", "interleave",
+           "vm_program", "vm_mode", "bench_vm", "bench_stream", "bench_farm",
+           "bench_analysis", "bench_serve", "bench_checkpoint", "snapshot",
+           "write_snapshot", "check", "make_fanout"]

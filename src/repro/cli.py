@@ -52,9 +52,9 @@ reproduction's analysis artifacts:
             ``--oracle semantics`` adds the executable reference
             semantics as a third backend (three-way VM↔C↔spec diff)
 ``bench``   benchmark snapshot (throughput, overhead ratios, latency
-            percentiles) as ``benchmarks/BENCH_<stamp>.json``; ``--check``
-            gates against the committed baseline; ``--farm`` also measures
-            the reactor farm and records ``benchmarks/BENCH_farm.json``
+            percentiles) as ``benchmarks/BENCH_<stamp>.json``; ``--farm``,
+            ``--analysis``, ``--serve`` and ``--checkpoint`` add sections;
+            ``--check`` also gates against the committed baseline
 ``farm``    run N instances of one program over the DES kernel with fleet
             telemetry: per-instance metrics rolled up cross-instance
             (``--stats``), Prometheus text exposition (``--prom``),
@@ -1233,7 +1233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3,
                    help="best-of-N timing repeats (default 3)")
     p.add_argument("--check", action="store_true",
-                   help="gate against the committed baseline: exact "
+                   help="also gate against the baseline: exact "
                         "counters, toleranced overhead ratios")
     p.add_argument("--baseline", metavar="FILE", default=None,
                    help="baseline snapshot (default: "
@@ -1243,24 +1243,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update-baseline", action="store_true",
                    help="write this snapshot as the new baseline")
     p.add_argument("--farm", action="store_true",
-                   help="also measure the reactor farm (attached vs "
-                        "detached; recorded as benchmarks/BENCH_farm.json"
-                        ", never gated)")
+                   help="also measure the reactor farm (BENCH_farm.json)")
     p.add_argument("--analysis", action="store_true",
-                   help="also measure incremental-vs-cold lint latency "
-                        "(recorded as benchmarks/BENCH_analysis.json, "
-                        "never gated)")
+                   help="also measure incremental-vs-cold lint "
+                        "(BENCH_analysis.json; gated on identical reports)")
     p.add_argument("--serve", action="store_true",
-                   help="also measure the telemetry-plane serving-path "
-                        "overhead on a detached farm (recorded as "
-                        "benchmarks/BENCH_serve.json; the idle-server "
-                        "drive ratio is gated at <= 5%%)")
+                   help="also measure idle admin-server overhead "
+                        "(BENCH_serve.json; gated <= 5%%)")
     p.add_argument("--checkpoint", action="store_true",
-                   help="also measure the checkpoint plane: journal-"
-                        "recording overhead on the farm drive loop "
-                        "(gated <= 5%%) and warm-start speedup vs a "
-                        "cold instrumented boot (gated >= 5x); recorded "
-                        "as benchmarks/BENCH_checkpoint.json")
+                   help="also measure journal-recording overhead (gated "
+                        "<= 5%%) and warm-start speedup (gated >= 5x) "
+                        "(BENCH_checkpoint.json)")
     p.set_defaults(fn=cmd_bench)
     return parser
 

@@ -61,9 +61,6 @@ class FlowGraph:
     def join_nodes(self) -> list[FlowNode]:
         return [n for n in self.nodes if n.kind == "join"]
 
-    def max_priority(self) -> int:
-        return max((n.priority for n in self.nodes), default=0)
-
     # ---------------------------------------------------------------- dot
     def to_dot(self, title: str = "flow") -> str:
         """Graphviz rendering, matching the paper's figure style: awaits

@@ -318,10 +318,6 @@ class Scheduler:
                 if hooked:
                     self.hooks.cause = prev_cause
 
-    def advance_time(self, us: int) -> str:
-        """Convenience: ``go_time(clock + us)``."""
-        return self.go_time(self.clock + us)
-
     def go_async(self) -> str:
         """One async step (``ceu_go_async``): a single loop iteration or a
         single emit of the current job, round-robin across jobs."""
@@ -387,10 +383,6 @@ class Scheduler:
         finally:
             self._drive_depth -= 1
             self._journal_close(rec)
-
-    def has_work(self) -> bool:
-        """Anything left that could run without external stimulus?"""
-        return bool(self.input_queue or self.async_jobs) and not self.done
 
     def awaiting_count(self) -> int:
         """Trails awaiting an event, a timer or ``forever`` — O(1)."""
