@@ -6,22 +6,18 @@ subsystem: a pass pipeline over a ``BoundProgram`` + DFA that
 *accumulates* typed diagnostics with source spans, attaches replayable
 witnesses to nondeterminism conflicts, derives static resource bounds
 from the DFA, and renders text / JSON / SARIF 2.1.0 reports
-(``repro lint``).
+(``repro lint``).  Public names resolve on first access.
 """
 
-from .bounds import ResourceBounds, TrailBounds, compute_bounds, \
-    compute_trail_bounds
-from .diagnostics import Diagnostic, Report, Severity
-from .engine import run_analysis
-from .incremental import IncrementalAnalyzer
-from .sarif import sarif_json, to_sarif
-from .witness import Witness
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Diagnostic", "Report", "Severity",
-    "ResourceBounds", "TrailBounds", "compute_bounds",
-    "compute_trail_bounds",
-    "Witness",
-    "run_analysis", "IncrementalAnalyzer",
-    "to_sarif", "sarif_json",
-]
+_EXPORTS = {
+    ".diagnostics": ("Diagnostic", "Report", "Severity"),
+    ".bounds": ("ResourceBounds", "TrailBounds", "compute_bounds",
+                "compute_trail_bounds"),
+    ".witness": ("Witness",),
+    ".engine": ("run_analysis",),
+    ".incremental": ("IncrementalAnalyzer",),
+    ".sarif": ("to_sarif", "sarif_json"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

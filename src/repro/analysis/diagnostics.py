@@ -143,6 +143,10 @@ class Report:
     stages: list[str] = field(default_factory=list)
     dfa_states: Optional[int] = None
     dfa_transitions: Optional[int] = None
+    #: the bound program, set by ``run_analysis`` once binding succeeded
+    #: (``repro check`` prints its layout and gates without rebinding)
+    bound: Optional[object] = field(default=None, repr=False,
+                                    compare=False)
 
     def add(self, code: str, message: str,
             span: SourceSpan = UNKNOWN_SPAN, *,

@@ -86,6 +86,7 @@ def run_analysis(source: str, filename: str = "<ceu>",
         front_end_error(report, err)
         return report
     report.stages.append("bind")
+    report.bound = bound
 
     tight_loops = bounded_pass(bound, report)
     liveness_pass(bound, report)

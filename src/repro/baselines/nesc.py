@@ -398,7 +398,10 @@ class ServerApp(NescApp):
             self.kernel.post(self.uart_task)
 
     def pool_reclaim_task(self) -> None:
-        # BaseStation-style message-pool management: bound both queues
+        # BaseStation-style message-pool management: bound both queues.
+        # Never posted in the simulation, but part of the modelled nesC
+        # program: handlers() prices it in the ROM model and
+        # eval.loc counts its lines.
         while len(self.ack_queue) > 8:
             self.ack_queue.pop(0)
         while len(self.uart_queue) > 8:

@@ -49,10 +49,11 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
-from .obs import (ChromeTraceExporter, JsonlExporter, Profiler,
-                  StreamingJsonlExporter)
+from .obs.export import ChromeTraceExporter, JsonlExporter
 from .obs.hooks import HookBus
-from .runtime import Program
+from .obs.profile import Profiler
+from .obs.stream import StreamingJsonlExporter
+from .runtime.program import Program
 from .sim.des import Simulator
 
 SCHEMA = 1
@@ -232,7 +233,7 @@ def vm_program(mode: str) -> Program:
         program.observe(ChromeTraceExporter())
         program.observe(JsonlExporter())
     elif mode == "causal":
-        from .obs import CausalGraph
+        from .obs.causal import CausalGraph
 
         program.observe(CausalGraph(program.hooks))
     elif mode == "detached":
@@ -348,7 +349,7 @@ def bench_farm(repeats: int = 3) -> dict:
     """The reactor-farm section: spawn/drive throughput with telemetry
     attached vs detached, cross-instance latency percentiles, and
     resident bytes per instance beside the static-bounds prediction."""
-    from .analysis import compute_bounds
+    from .analysis.bounds import compute_bounds
     from .apps import load
     from .dfa import build_dfa
     from .lang import parse
@@ -393,7 +394,7 @@ def _serve_drive(source: str, n: int, sim_us: int,
     scraped from a background thread (``scraped``)."""
     import threading
 
-    from .obs import AdminServer
+    from .obs.serve import AdminServer
     from .runtime.farm import Farm
 
     farm = Farm(source, n=n, program="blink", observe=False)
@@ -441,7 +442,7 @@ def bench_serve(repeats: int = 3) -> dict:
     the baseline is as fast as the farm gets) in the three modes, plus
     one measured scrape of each endpoint."""
     from .apps import load
-    from .obs import AdminServer
+    from .obs.serve import AdminServer
     from .runtime.farm import Farm
 
     n, sim_us = SERVE_INSTANCES, SERVE_SIM_US
@@ -634,7 +635,8 @@ def bench_analysis(repeats: int = 3) -> dict:
     stream unchanged: DFA replay unless the file has conflicts).  Every
     incremental report is compared with the cold run of the same text;
     ``summary.all_identical`` is gated, the times are recorded."""
-    from .analysis import IncrementalAnalyzer, run_analysis
+    from .analysis.engine import run_analysis
+    from .analysis.incremental import IncrementalAnalyzer
 
     per_file = []
     all_identical = True

@@ -80,21 +80,16 @@ reproduction's analysis artifacts:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import json
-
-from .codegen import HOST, TARGET16, build_gates, build_layout, compile_to_c
-from .core import analyze
-from .dfa import build_dfa
-from .flow import build_flow
-from .lang import parse
-from .lang.errors import CeuError
-from .obs import ChromeTraceExporter, JsonlExporter, render_stats
-from .runtime import Program
-from .runtime.program import parse_time
-from .sema import bind, check_bounded
+# Each command imports what it runs, so a cold `repro check` never loads
+# the VM, the farm or the HTTP serving stack (DESIGN.md, "Import
+# discipline"; pinned by tests/test_imports.py).
+if TYPE_CHECKING:
+    from .runtime.program import Program
 
 
 def _load(path: str) -> str:
@@ -105,7 +100,9 @@ def _load(path: str) -> str:
 
 def cmd_check(args) -> int:
     """All analyses, all findings — not just the first (docs/ANALYSIS.md)."""
-    from .analysis import run_analysis
+    from .analysis.engine import run_analysis
+    from .codegen.gates import build_gates
+    from .codegen.memlayout import TARGET16, build_layout
 
     source = _load(args.file)
     report = run_analysis(source, filename=args.file,
@@ -121,13 +118,12 @@ def cmd_check(args) -> int:
         return 1
     if "dfa" not in report.stages:
         return 1  # analysis budget exceeded (CEU-W401 above)
-    unit = analyze(source, filename=args.file,
-                   max_states=args.max_states)
-    layout = unit.memory_layout(TARGET16)
-    gates = unit.gate_table()
+    bound = report.bound
+    layout = build_layout(bound, TARGET16)
+    gates = build_gates(bound)
     print(f"{args.file}: deterministic")
-    print(f"  events   : {len(unit.bound.events)}")
-    print(f"  variables: {len(unit.bound.variables)} "
+    print(f"  events   : {len(bound.events)}")
+    print(f"  variables: {len(bound.variables)} "
           f"({layout.total} bytes static memory)")
     print(f"  gates    : {gates.count}")
     print(f"  dfa      : {report.dfa_states} states, "
@@ -153,7 +149,9 @@ def _changed_lines(base: str, new: str) -> set:
 
 
 def cmd_lint(args) -> int:
-    from .analysis import IncrementalAnalyzer, run_analysis, sarif_json
+    from .analysis.engine import run_analysis
+    from .analysis.incremental import IncrementalAnalyzer
+    from .analysis.sarif import sarif_json
 
     reports = []
     for path in args.files:
@@ -202,6 +200,8 @@ def cmd_lsp(args) -> int:
 
 def _feed_inputs(program: Program, inputs) -> None:
     """Drive a booted program from CLI input arguments."""
+    from .runtime.program import parse_time
+
     for item in inputs or []:
         if program.done:
             break
@@ -215,9 +215,9 @@ def _feed_inputs(program: Program, inputs) -> None:
 
 
 def _load_script(path: str) -> list:
-    from .fuzz.gen import parse_script_text
+    from .runtime.script import parse_script_text
 
-    return parse_script_text(_load(path))
+    return parse_script_text(_load(path), filename=path)
 
 
 def _feed_script(program: Program, script) -> None:
@@ -257,7 +257,13 @@ def _crash_bundle(program: Program, source: str, args, recorder,
 def cmd_run(args) -> int:
     from contextlib import nullcontext
 
+    from .obs.export import ChromeTraceExporter, JsonlExporter
+    from .obs.metrics import render_stats
+    from .runtime.program import Program
+
     source = _load(args.file)
+    # a bad script is a usage error, not a crash: read it before the run
+    script = _load_script(args.inputs_file) if args.inputs_file else []
     program = Program(source, filename=args.file, trace=args.trace,
                       observe=args.stats or bool(args.prom),
                       record=bool(args.postmortem))
@@ -269,15 +275,14 @@ def cmd_run(args) -> int:
         jsonl = program.observe(JsonlExporter())
     guard = nullcontext()
     if args.flight_recorder:
-        from .obs import FlightRecorder
+        from .obs.stream import FlightRecorder
 
         recorder = program.observe(FlightRecorder(args.flight_recorder))
         guard = recorder.dump_on_exception()
     try:
         with guard:
             program.start()
-            if args.inputs_file:
-                _feed_script(program, _load_script(args.inputs_file))
+            _feed_script(program, script)
             _feed_inputs(program, args.inputs)
     except BaseException as err:
         if args.postmortem:
@@ -301,7 +306,7 @@ def cmd_run(args) -> int:
         print("--- stats ---", file=sys.stderr)
         print(render_stats(program.stats()), file=sys.stderr)
     if args.prom:
-        from .obs import write_prom
+        from .obs.prom import write_prom
 
         n = write_prom(program.stats(), args.prom)
         print(f"wrote {args.prom}: {n} exposition lines",
@@ -314,7 +319,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .obs import Profiler, StreamingJsonlExporter
+    from .obs.export import ChromeTraceExporter
+    from .obs.metrics import render_stats
+    from .obs.profile import Profiler
+    from .obs.stream import StreamingJsonlExporter
+    from .runtime.program import Program
 
     source = _load(args.file)
     program = Program(source, filename=args.file, observe=True)
@@ -355,7 +364,8 @@ def cmd_profile(args) -> int:
 def _causal_replay(path: str, inputs_file, inputs,
                    reverse_seeds: bool = False):
     """One instrumented replay; returns ``(program, causal_graph)``."""
-    from .obs import CausalGraph
+    from .obs.causal import CausalGraph
+    from .runtime.program import Program
 
     source = _load(path)
     program = Program(source, filename=path,
@@ -389,7 +399,7 @@ def cmd_why(args) -> int:
               f"(reaction #{node.reaction}):")
         print(graph.render_slice(node.span, steps=args.steps))
         return 0
-    from .obs import diff_slices
+    from .obs.causal import diff_slices
 
     other_file = args.diff_file or args.file
     other_inputs = args.diff_inputs_file or args.inputs_file
@@ -419,7 +429,6 @@ def cmd_why(args) -> int:
 def _debug_repl(dbg, label: str) -> int:
     """The time-travel REPL loop shared by ``repro debug`` and
     ``repro postmortem --debug``."""
-    from .obs import TimeTravelDebugger
     from .runtime.checkpoint import CheckpointError
 
     print(f"{label}: {dbg.total} reaction(s) replayed "
@@ -482,7 +491,7 @@ def _debug_repl(dbg, label: str) -> int:
 
 def _open_checkpoint_session(path: str):
     """A debugger session over a saved checkpoint file."""
-    from .obs import TimeTravelDebugger
+    from .obs.debug import TimeTravelDebugger
     from .runtime.checkpoint import Checkpoint
 
     return TimeTravelDebugger.from_checkpoint(Checkpoint.load(path))
@@ -490,7 +499,7 @@ def _open_checkpoint_session(path: str):
 
 def cmd_debug(args) -> int:
     """Interactive time-travel REPL (see docs/OBSERVABILITY.md)."""
-    from .obs import TimeTravelDebugger
+    from .obs.debug import TimeTravelDebugger
 
     if args.from_checkpoint:
         return _debug_repl(_open_checkpoint_session(args.from_checkpoint),
@@ -530,7 +539,7 @@ def cmd_postmortem(args) -> int:
         print(f"repro postmortem: {err}", file=sys.stderr)
         return 1
     if args.debug or args.why:
-        from .obs import TimeTravelDebugger
+        from .obs.debug import TimeTravelDebugger
 
         dbg = TimeTravelDebugger.from_checkpoint(bundle.checkpoint)
         if args.why:
@@ -567,13 +576,19 @@ def cmd_postmortem(args) -> int:
 
 
 def cmd_c(args) -> int:
+    from .codegen.cemit import compile_to_c
+    from .codegen.memlayout import HOST, TARGET16
+    from .lang import parse
+    from .sema import bind, check_bounded
+
     source = _load(args.file)
     bound = bind(parse(source, args.file))
     check_bounded(bound)
     abi = TARGET16 if args.target16 else HOST
     bounds = None
     if args.static_bounds:
-        from .analysis import compute_bounds
+        from .analysis.bounds import compute_bounds
+        from .dfa import build_dfa
 
         dfa = build_dfa(bound, max_states=args.max_states)
         bounds = compute_bounds(bound, dfa)
@@ -591,6 +606,11 @@ def cmd_c(args) -> int:
 
 
 def cmd_dot(args) -> int:
+    from .dfa import build_dfa
+    from .flow import build_flow
+    from .lang import parse
+    from .sema import bind
+
     source = _load(args.file)
     bound = bind(parse(source, args.file))
     if args.flow:
@@ -606,6 +626,11 @@ def cmd_dot(args) -> int:
 
 
 def cmd_layout(args) -> int:
+    from .codegen.gates import build_gates
+    from .codegen.memlayout import TARGET16, build_layout
+    from .lang import parse
+    from .sema import bind
+
     source = _load(args.file)
     bound = bind(parse(source, args.file))
     layout = build_layout(bound, TARGET16)
@@ -622,7 +647,9 @@ def cmd_layout(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from .fuzz import PROFILES, FuzzRunner, has_gcc
+    from .fuzz.gen import PROFILES
+    from .fuzz.oracles import has_gcc
+    from .fuzz.runner import FuzzRunner
 
     config = PROFILES[args.profile]
     if args.n is None and args.minutes is None:
@@ -662,9 +689,12 @@ def _serve_farm(args, source: str, name: str) -> int:
     draining gracefully on SIGTERM/SIGINT (docs/OBSERVABILITY.md)."""
     import signal
 
-    from .obs import (AdminServer, FlightRecorder, LineTee, Profiler,
-                      StreamingJsonlExporter, write_prom)
+    from .obs.profile import Profiler
+    from .obs.prom import write_prom
+    from .obs.serve import AdminServer
+    from .obs.stream import FlightRecorder, LineTee, StreamingJsonlExporter
     from .runtime.farm import Farm
+    from .runtime.program import parse_time
     from .runtime.wallclock import WallClockDriver
 
     host, port = _parse_addr(args.serve)
@@ -755,8 +785,11 @@ def _serve_farm(args, source: str, name: str) -> int:
 
 def cmd_farm(args) -> int:
     """N program instances over the DES kernel with fleet telemetry."""
-    from .obs import FlightRecorder, StreamingJsonlExporter, write_prom
+    from .obs.metrics import render_stats
+    from .obs.prom import write_prom
+    from .obs.stream import FlightRecorder, StreamingJsonlExporter
     from .runtime.farm import Farm
+    from .runtime.program import parse_time
 
     source = _load(args.file)
     name = Path(args.file).stem or "prog"
@@ -855,7 +888,8 @@ def cmd_top(args) -> int:
 def cmd_federate(args) -> int:
     """Merge N shard ``/snapshot`` endpoints into one exposition —
     one-shot (``--once``) or served live (``--serve``)."""
-    from .obs import AdminServer, Federator
+    from .obs.federate import Federator
+    from .obs.serve import AdminServer
 
     fed = Federator(args.shards, timeout_s=args.timeout,
                     min_interval_s=args.interval)
@@ -1261,10 +1295,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .lang.errors import CeuError
+    from .runtime.script import ScriptError
+
     try:
         return args.fn(args)
-    except CeuError as err:
+    except (CeuError, ScriptError) as err:
         print(str(err), file=sys.stderr)
+        return 1
+    except OSError as err:
+        if err.filename is None:
+            raise
+        print(f"{err.filename}: {err.strerror or err}", file=sys.stderr)
         return 1
 
 

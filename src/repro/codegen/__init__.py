@@ -1,13 +1,17 @@
 """Code generation: static memory layout (§4.2), gate allocation (§4.3),
-C emission (§4.4-4.5) and the ROM/RAM footprint model (§4.6)."""
+C emission (§4.4-4.5) and the ROM/RAM footprint model (§4.6).
 
-from .cemit import CompiledC, UnsupportedForC, compile_to_c
-from .gates import Gate, GateTable, build_gates
-from .memlayout import HOST, TARGET16, MemLayout, TargetABI, build_layout
-from .report import (CEU_RAM_KERNEL, CEU_ROM_KERNEL, Footprint,
-                     ceu_footprint)
+Public names resolve on first access, so the layout and gate table do
+not load the C emitter."""
 
-__all__ = ["compile_to_c", "CompiledC", "UnsupportedForC",
-           "build_gates", "GateTable", "Gate",
-           "build_layout", "MemLayout", "TargetABI", "TARGET16", "HOST",
-           "ceu_footprint", "Footprint", "CEU_ROM_KERNEL", "CEU_RAM_KERNEL"]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".cemit": ("compile_to_c", "CompiledC", "UnsupportedForC"),
+    ".gates": ("build_gates", "GateTable", "Gate"),
+    ".memlayout": ("build_layout", "MemLayout", "TargetABI", "TARGET16",
+                   "HOST"),
+    ".report": ("ceu_footprint", "Footprint", "CEU_ROM_KERNEL",
+                "CEU_RAM_KERNEL"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -5,17 +5,20 @@ gates, C code) → executable VM instance."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
-from ..codegen import (HOST, CompiledC, GateTable, MemLayout, TargetABI,
-                       build_gates, build_layout, compile_to_c)
+from ..codegen.gates import GateTable, build_gates
+from ..codegen.memlayout import HOST, MemLayout, TargetABI, build_layout
 from ..dfa import Dfa, build_dfa
 from ..flow import FlowGraph, build_flow
 from ..lang import parse
 from ..lang.errors import NondeterminismError
-from ..runtime import CEnv, Program
-from ..runtime.program import parse_time
 from ..sema import BoundProgram, bind, check_bounded
+
+if TYPE_CHECKING:  # the VM and the C emitter load only when used
+    from ..codegen.cemit import CompiledC
+    from ..runtime.cenv import CEnv
+    from ..runtime.program import Program
 
 
 @dataclass
@@ -41,12 +44,16 @@ class CompiledUnit:
 
     def to_c(self, abi: TargetABI = HOST, with_main: bool = True,
              name: str = "ceu") -> CompiledC:
+        from ..codegen.cemit import compile_to_c
+
         return compile_to_c(self.bound, abi=abi, with_main=with_main,
                             name=name)
 
     # ----------------------------------------------------------- execution
     def instantiate(self, cenv: Optional[CEnv] = None,
                     trace: bool = False, observe: bool = False) -> Program:
+        from ..runtime.program import Program
+
         return Program(self.bound, cenv=cenv, trace=trace,
                        observe=observe, check=False)
 
@@ -84,6 +91,8 @@ def run(source: str, events: Sequence[tuple[str, Any]] = (),
     markers that advance the clock; ``until`` advances the clock at the
     end.  Returns the (possibly terminated) :class:`Program`.
     """
+    from ..runtime.program import parse_time
+
     unit = analyze(source, check_determinism=check_determinism)
     program = unit.instantiate(cenv=cenv, trace=trace)
     program.start()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..apps import load
 from ..baselines.mantis import MantisOS
 from ..baselines.occam import OccamRuntime
-from ..runtime import Program
+from ..runtime.program import Program
 
 PERIOD0_US = 400_000
 PERIOD1_US = 1_000_000

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from ..dfa import Dfa, build_dfa
 from ..flow import FlowGraph, build_flow
 from ..lang import parse
-from ..runtime import Program, Trace
+from ..runtime.program import Program
+from ..runtime.trace import Trace
 from ..sema import bind
 
 # ---------------------------------------------------------------------------

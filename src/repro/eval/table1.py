@@ -18,7 +18,9 @@ from ..baselines.nesc import (NESC_RAM_RADIO, NESC_RAM_SENSOR,
                               NESC_ROM_SENSOR_STACK, NESC_ROM_SERIAL_STACK,
                               NESC_ROM_TIMER_STACK, BlinkApp, ClientApp,
                               NescApp, SenseApp, ServerApp, nesc_footprint)
-from ..codegen import TARGET16, ceu_footprint, compile_to_c
+from ..codegen.cemit import compile_to_c
+from ..codegen.memlayout import TARGET16
+from ..codegen.report import ceu_footprint
 from ..lang import parse
 from ..sema import bind
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..runtime import Program
+from ..runtime.program import Program
 
 N_MESSAGES = 3000
 SEND_INTERVAL_US = 7_750          # 1-sender pacing (≈7 ms + stack)

@@ -12,26 +12,27 @@ reach.  Entry points:
 * :class:`repro.fuzz.runner.FuzzRunner` — drive N cases through the
   oracle stack, shrink failures, emit a JSONL report;
 * ``python -m repro fuzz`` — the CLI front end.
+
+Public names resolve on first access, except :func:`shrink`.  It shares
+its name with the :mod:`repro.fuzz.shrink` submodule, and importing a
+submodule for the first time binds the module on the package, so the
+function is bound here before anything can import that submodule.
 """
 
-from .gen import (CORPUS_PROFILES, DIFF, PRIO, PROFILES, GenCase,
-                  GenConfig, ProgramGen, generate_case, parse_script_text,
-                  relay_program, script_text)
-from .mutate import INTERESTING, ScriptMutator
-from .oracles import (FAULTS, OracleFailure, RunResult, bounds_violations,
-                      canon_psig, canon_sig, check_case, has_gcc, run_c,
-                      run_semantics, run_vm, three_way_attribution)
-from .runner import FuzzRunner, FuzzStats
-from .shrink import (ShrinkResult, causal_cone_script, shrink,
-                     shrink_script)
+from .._lazy import lazy_exports
+from .shrink import shrink
 
-__all__ = [
-    "CORPUS_PROFILES", "DIFF", "FAULTS", "FuzzRunner", "FuzzStats",
-    "GenCase", "GenConfig", "INTERESTING", "OracleFailure", "PRIO",
-    "PROFILES", "ProgramGen", "RunResult", "ScriptMutator",
-    "ShrinkResult", "bounds_violations", "canon_psig", "canon_sig",
-    "causal_cone_script", "check_case", "generate_case", "has_gcc",
-    "parse_script_text", "relay_program", "run_c", "run_semantics",
-    "run_vm", "script_text", "shrink", "shrink_script",
-    "three_way_attribution",
-]
+_EXPORTS = {
+    ".gen": ("CORPUS_PROFILES", "DIFF", "PRIO", "PROFILES", "GenCase",
+             "GenConfig", "ProgramGen", "generate_case", "relay_program"),
+    "..runtime.script": ("parse_script_text", "script_text"),
+    ".mutate": ("INTERESTING", "ScriptMutator"),
+    ".oracles": ("FAULTS", "OracleFailure", "RunResult",
+                 "bounds_violations", "canon_psig", "canon_sig",
+                 "check_case", "has_gcc", "run_c", "run_semantics",
+                 "run_vm", "three_way_attribution"),
+    ".runner": ("FuzzRunner", "FuzzStats"),
+    ".shrink": ("ShrinkResult", "causal_cone_script", "shrink",
+                "shrink_script"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

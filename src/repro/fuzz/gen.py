@@ -112,45 +112,6 @@ class GenCase:
         return len(self.src.splitlines())
 
 
-def script_text(script: list[tuple]) -> str:
-    """Render a script in the C driver's ``E name val`` / ``T us`` form."""
-    out = []
-    for item in script:
-        if item[0] == "E":
-            if item[2] is None:      # void event: no payload column
-                out.append(f"E {item[1]}")
-            else:
-                out.append(f"E {item[1]} {item[2]}")
-        else:
-            out.append(f"T {item[1]}")
-    return "\n".join(out) + "\n"
-
-
-def parse_script_text(text: str) -> list[tuple]:
-    """Inverse of :func:`script_text` (``repro run --inputs FILE``).
-
-    One stimulus per line — ``E NAME [VALUE]`` delivers an external
-    event, ``T US`` advances absolute time; blank lines and ``#``
-    comments are skipped.
-    """
-    script: list[tuple] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "E" and len(parts) in (2, 3):
-            value = int(parts[2]) if len(parts) == 3 else 0
-            script.append(("E", parts[1], value))
-        elif parts[0] == "T" and len(parts) == 2:
-            script.append(("T", int(parts[1])))
-        else:
-            raise ValueError(
-                f"script line {lineno}: expected 'E NAME [VALUE]' or "
-                f"'T US', got {raw!r}")
-    return script
-
-
 class _Scope:
     """What a sequential context may touch.
 

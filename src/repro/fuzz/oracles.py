@@ -39,9 +39,10 @@ from typing import Callable, Optional
 from ..dfa import build_dfa
 from ..lang import parse
 from ..lang.errors import CeuError
-from ..runtime import Program
+from ..runtime.program import Program
+from ..runtime.script import script_text
 from ..sema import bind, check_bounded
-from .gen import GenCase, script_text
+from .gen import GenCase
 
 Script = list  # [("E", name, value) | ("T", abs_us)]
 
@@ -181,7 +182,7 @@ def run_c(src: str, script: Script, workdir, name: str = "prog",
     ``mutate`` post-processes the generated C — the fault-injection hook
     used to prove the oracles and the shrinker catch real bugs.
     """
-    from ..codegen import compile_to_c
+    from ..codegen.cemit import compile_to_c
 
     res = RunResult(backend="c")
     try:

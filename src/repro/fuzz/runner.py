@@ -35,10 +35,12 @@ from typing import Callable, Optional
 
 from ..dfa import build_dfa
 from ..lang import parse
-from ..obs import JsonlExporter, collect_coverage
-from ..runtime import Program
+from ..obs.coverage import collect_coverage
+from ..obs.export import JsonlExporter
+from ..runtime.program import Program
+from ..runtime.script import script_text
 from ..sema import bind
-from .gen import DIFF, GenCase, GenConfig, generate_case, script_text
+from .gen import DIFF, GenCase, GenConfig, generate_case
 from .mutate import ScriptMutator
 from .oracles import FAULTS, OracleFailure, check_case, has_gcc, run_c, \
     run_semantics, run_vm
@@ -336,7 +338,7 @@ class FuzzRunner:
         flow arrows from an instrumented VM replay."""
         import os
 
-        from ..obs import ChromeTraceExporter
+        from ..obs.export import ChromeTraceExporter
 
         src = shrunk.src if shrunk else failure.src
         script = list(shrunk.script) if shrunk else list(failure.script)

@@ -24,8 +24,8 @@ from __future__ import annotations
 import sys
 from typing import Optional
 
-from ..analysis import IncrementalAnalyzer, Report
-from ..analysis.diagnostics import Diagnostic
+from ..analysis.diagnostics import Diagnostic, Report
+from ..analysis.incremental import IncrementalAnalyzer
 from ..lang import ast
 from ..lang.errors import SourceSpan
 from .documents import Document, uri_to_path

@@ -3,40 +3,31 @@
 Zero-dependency and off by default — with no subscribers the hook bus is
 a guarded no-op and the VM behaves (and performs) exactly as before.
 See ``docs/OBSERVABILITY.md`` for the taxonomy and usage.
+
+Public names resolve on first access, so importing the hook bus does not
+load the HTTP serving stack.
 """
 
-from .causal import CausalGraph, CausalNode, diff_slices
-from .coverage import (CoverageMap, DfaEdgeCoverage, collect_coverage,
-                       coverage_signature)
-from .debug import TimeTravelDebugger
-from .export import ChromeTraceExporter, JsonlExporter
-from .federate import Federator
-from .fleet import (CounterFamily, FleetRegistry, GaugeFamily,
-                    HistogramFamily, merge_family_snapshots,
-                    merge_histogram, merge_histogram_snapshots,
-                    merge_snapshots)
-from .hooks import HOOK_EVENTS, EventLog, HookBus, HookSubscriber
-from .metrics import (Counter, Gauge, Histogram, MetricsCollector,
-                      MetricsRegistry, render_stats)
-from .profile import Profiler
-from .prom import PROM_CONTENT_TYPE, render_prom, write_prom
-from .serve import AdminServer
-from .stream import FlightRecorder, LineTee, StreamingJsonlExporter
-from .top import Top, snapshot_url_source
+from .._lazy import lazy_exports
 
-__all__ = [
-    "HOOK_EVENTS", "HookBus", "HookSubscriber", "EventLog",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "MetricsCollector", "render_stats",
-    "CounterFamily", "GaugeFamily", "HistogramFamily", "FleetRegistry",
-    "merge_histogram", "merge_histogram_snapshots", "merge_snapshots",
-    "merge_family_snapshots",
-    "render_prom", "write_prom", "PROM_CONTENT_TYPE",
-    "AdminServer", "Federator", "Top", "snapshot_url_source",
-    "ChromeTraceExporter", "JsonlExporter",
-    "StreamingJsonlExporter", "FlightRecorder", "LineTee", "Profiler",
-    "CausalGraph", "CausalNode", "TimeTravelDebugger",
-    "diff_slices",
-    "CoverageMap", "DfaEdgeCoverage", "collect_coverage",
-    "coverage_signature",
-]
+_EXPORTS = {
+    ".hooks": ("HOOK_EVENTS", "HookBus", "HookSubscriber", "EventLog"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                 "MetricsCollector", "render_stats"),
+    ".fleet": ("CounterFamily", "GaugeFamily", "HistogramFamily",
+               "FleetRegistry", "merge_histogram",
+               "merge_histogram_snapshots", "merge_snapshots",
+               "merge_family_snapshots"),
+    ".prom": ("render_prom", "write_prom", "PROM_CONTENT_TYPE"),
+    ".serve": ("AdminServer",),
+    ".federate": ("Federator",),
+    ".top": ("Top", "snapshot_url_source"),
+    ".export": ("ChromeTraceExporter", "JsonlExporter"),
+    ".stream": ("StreamingJsonlExporter", "FlightRecorder", "LineTee"),
+    ".profile": ("Profiler",),
+    ".causal": ("CausalGraph", "CausalNode", "diff_slices"),
+    ".debug": ("TimeTravelDebugger",),
+    ".coverage": ("CoverageMap", "DfaEdgeCoverage", "collect_coverage",
+                  "coverage_signature"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

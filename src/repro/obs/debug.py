@@ -56,7 +56,7 @@ class TimeTravelDebugger:
     ``script`` uses the fuzz-driver item format:
     ``("E", name, value)`` sends an input event, ``("T", abs_us)``
     advances the wall clock to an absolute instant
-    (:func:`repro.fuzz.gen.parse_script_text` reads the file form).
+    (:func:`repro.runtime.script.parse_script_text` reads the file form).
 
     ``checkpoint_interval`` spaces the parked boundaries (default: the
     run divided evenly over the ring); ``checkpoint_ring`` caps how many

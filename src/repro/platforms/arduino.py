@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from ..runtime import CEnv, Program
+from ..runtime.cenv import CEnv
+from ..runtime.program import Program
 from ..runtime.program import parse_time
 
 LCD_COLS = 16

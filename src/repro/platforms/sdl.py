@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..runtime import CEnv, Program
+from ..runtime.cenv import CEnv
+from ..runtime.program import Program
 from ..runtime.values import Ref
 
 SDL_KEYDOWN = 2          # arbitrary nonzero tag, as in SDL headers

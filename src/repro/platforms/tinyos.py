@@ -22,7 +22,8 @@ from typing import Any, Optional
 
 from ..obs.hooks import HookBus
 from ..obs.metrics import MetricsRegistry
-from ..runtime import CEnv, Program
+from ..runtime.cenv import CEnv
+from ..runtime.program import Program
 from ..runtime.values import ItemRef, Ref
 from ..sim.des import Rng, Simulator
 

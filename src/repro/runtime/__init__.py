@@ -1,19 +1,21 @@
 """Reference VM: the executable semantics of Céu (§2), exposed through the
-paper's `ceu_go_*` API (§4.5) plus a high-level `Program` facade."""
+paper's `ceu_go_*` API (§4.5) plus a high-level `Program` facade.
 
-from .cenv import CAssertionError, CEnv, Rand
-from .checkpoint import (Checkpoint, CheckpointError, PostmortemBundle,
-                         list_postmortems, load_postmortem, restore,
-                         snapshot, snapshot_crash, write_postmortem)
-from .farm import Farm, Instance
-from .program import Program, parse_time
-from .scheduler import RUNNING, TERMINATED, Scheduler
-from .trace import Reaction, Step, Trace
-from .values import CellRef, FuncRef, ItemRef, Ref
+Public names resolve on first access, so ``import repro.runtime`` loads
+neither the farm nor checkpoints until they are used."""
 
-__all__ = ["Program", "parse_time", "Scheduler", "RUNNING", "TERMINATED",
-           "CEnv", "CAssertionError", "Rand", "Trace", "Reaction", "Step",
-           "Ref", "CellRef", "ItemRef", "FuncRef", "Farm", "Instance",
-           "Checkpoint", "CheckpointError", "PostmortemBundle",
-           "snapshot", "snapshot_crash", "restore", "write_postmortem",
-           "load_postmortem", "list_postmortems"]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".program": ("Program", "parse_time"),
+    ".scheduler": ("Scheduler", "RUNNING", "TERMINATED"),
+    ".cenv": ("CEnv", "CAssertionError", "Rand"),
+    ".trace": ("Trace", "Reaction", "Step"),
+    ".values": ("Ref", "CellRef", "ItemRef", "FuncRef"),
+    ".farm": ("Farm", "Instance"),
+    ".checkpoint": ("Checkpoint", "CheckpointError", "PostmortemBundle",
+                    "snapshot", "snapshot_crash", "restore",
+                    "write_postmortem", "load_postmortem",
+                    "list_postmortems"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

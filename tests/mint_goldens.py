@@ -180,7 +180,7 @@ def semantics_transcript(src: str, script: list, name: str) -> str:
     the rule-application transcript, the reaction trace, and the final
     observables.  Shared by the minter and ``tests/test_semantics.py``
     so the golden diff is byte-exact by construction."""
-    from repro.fuzz.gen import script_text
+    from repro.runtime.script import script_text
     from repro.semantics import run_script
 
     machine = run_script(src, script, transcript=True)

@@ -479,7 +479,7 @@ class TestRunInputsCli:
                                                     tmp_path, capsys):
         """End to end: lint a racy program, take the reported witness,
         replay it through `repro run --inputs`."""
-        from repro.fuzz.gen import script_text
+        from repro.runtime.script import script_text
 
         report = run_analysis(LISTINGS["nondet"])
         diag = next(d for d in report.diagnostics

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.fuzz.gen import parse_script_text, script_text
+from repro.runtime.script import parse_script_text, script_text
 from repro.lang.errors import RuntimeCeuError
 from repro.fuzz.shrink import causal_cone_script, shrink, shrink_script
 from repro.obs import (CausalGraph, ChromeTraceExporter, EventLog,

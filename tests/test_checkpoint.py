@@ -563,7 +563,7 @@ class TestCli:
         import io
 
         from repro.cli import main
-        from repro.fuzz.gen import script_text
+        from repro.runtime.script import script_text
 
         prog = tmp_path / "acc.ceu"
         prog.write_text(ACC)

@@ -1,6 +1,8 @@
 """The CLI (`python -m repro`) and the multi-hop collection protocol."""
 
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,12 @@ from repro.apps import load
 from repro.cli import main
 from repro.eval import loc
 from repro.platforms import TinyOsWorld
+from repro.runtime.script import ScriptError, parse_script_text
+
+APPS = Path(__file__).parent.parent / "src" / "repro" / "apps" / "ceu"
+#: the bundled apps that are whole programs (mario_game is a fragment)
+WHOLE_APPS = ("blink", "blink2", "client", "multihop", "ring", "sense",
+              "server", "ship")
 
 GOOD = """
 input int X;
@@ -80,6 +88,68 @@ class TestCli:
     def test_parse_error_reported(self, ceu_file, capsys):
         assert main(["check", ceu_file("loop do")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("app", WHOLE_APPS)
+    def test_check_builds_the_dfa_once(self, app, monkeypatch, capsys):
+        import repro.analysis.engine  # noqa: F401  (every module that
+        import repro.core.compile  # noqa: F401  binds build_dfa is patched)
+        import repro.dfa.builder as builder
+
+        real, calls = builder.build_dfa, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("repro") \
+                    and getattr(module, "build_dfa", None) is real:
+                monkeypatch.setattr(module, "build_dfa", counting)
+        assert main(["check", str(APPS / f"{app}.ceu")]) == 0
+        assert len(calls) == 1
+
+
+class TestCliInputErrors:
+    """Malformed or missing inputs: one ``file[:line]: message`` line on
+    stderr and exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("E X 1\nbogus line\n", 2, "expected 'E NAME [VALUE]' or 'T US'"),
+        ("# comment\nE X notanint\n", 2,
+         "event value must be an integer, got 'notanint'"),
+        ("T soon\n", 1, "time must be an integer, got 'soon'"),
+    ])
+    def test_bad_script_line(self, ceu_file, tmp_path, capsys, text, line,
+                             message):
+        script = tmp_path / "in.script"
+        script.write_text(text)
+        bundles = tmp_path / "postmortems"
+        assert main(["run", ceu_file(GOOD), "--inputs", str(script),
+                     "--postmortem", str(bundles)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{script}:{line}: {message}")
+        assert captured.err.count("\n") == 1
+        assert not bundles.exists()      # a usage error, not a crash
+
+    def test_script_error_is_a_value_error(self):
+        with pytest.raises(ValueError) as info:
+            parse_script_text("E X 1\nE X y\n", filename="s.txt")
+        assert isinstance(info.value, ScriptError)
+        assert (info.value.filename, info.value.line) == ("s.txt", 2)
+        assert str(info.value).startswith("s.txt:2: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{missing}"],
+        ["run", "{missing}"],
+        ["run", "{good}", "--inputs", "{missing}"],
+    ])
+    def test_missing_file(self, ceu_file, tmp_path, capsys, argv):
+        missing = str(tmp_path / "nope.ceu")
+        argv = [a.format(missing=missing, good=ceu_file(GOOD)) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{missing}: No such file or directory\n"
 
 
 EMITTER = """

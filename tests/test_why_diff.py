@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.fuzz.gen import script_text
+from repro.runtime.script import script_text
 from repro.obs import CausalGraph, diff_slices
 from repro.runtime.program import Program
 
